@@ -46,21 +46,21 @@ class AmbientSignature:
     def marking_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.markings))
 
-
-def _check_signature(graph: DecoratedGraph, ambient: AmbientSignature) -> None:
-    graph.require_valid()
-    pa = arithmetic_genus(graph)
-    if pa != ambient.genus:
-        raise SignatureError(
-            f"graph has arithmetic genus {pa}, ambient requires {ambient.genus}")
-    if graph.markings() != ambient.marking_tuple():
-        raise SignatureError(
-            f"graph markings {graph.markings()} differ from ambient "
-            f"{ambient.marking_tuple()}")
-    if component_count(graph) > ambient.max_components:
-        raise SignatureError(
-            f"graph has {component_count(graph)} components, ambient allows "
-            f"at most {ambient.max_components}")
+    def check(self, graph: DecoratedGraph) -> None:
+        """Raise ``SignatureError`` unless the valid ``graph`` lies on this ambient:
+        its arithmetic genus, marking set and component count must fit."""
+        pa = arithmetic_genus(graph)
+        if pa != self.genus:
+            raise SignatureError(
+                f"graph has arithmetic genus {pa}, ambient requires {self.genus}")
+        if graph.markings() != self.marking_tuple():
+            raise SignatureError(
+                f"graph markings {graph.markings()} differ from ambient "
+                f"{self.marking_tuple()}")
+        if component_count(graph) > self.max_components:
+            raise SignatureError(
+                f"graph has {component_count(graph)} components, ambient allows "
+                f"at most {self.max_components}")
 
 
 class TautClass:
@@ -76,8 +76,8 @@ class TautClass:
                 continue
             if isinstance(graph, DualGraph):
                 graph = graph.decorate()
-            form, canon = canonicalize(graph)
-            _check_signature(canon, ambient)
+            form, canon = canonicalize(graph)   # rejects invalid graphs
+            ambient.check(canon)
             if form in merged:
                 merged[form][1] += coeff
             else:

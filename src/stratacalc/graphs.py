@@ -152,10 +152,11 @@ class DecoratedGraph:
         return tuple(sorted(m for _, m, _ in self.legs))
 
     def psi_of_marking(self, marking: int) -> int:
+        """Psi exponent on the leg labelled ``marking``; 0 if there is no such leg."""
         for _, m, p in self.legs:
             if m == marking:
                 return p
-        raise KeyError(f"no leg with marking {marking}")
+        return 0
 
     def degree(self) -> int:
         """Total degree: #edges + sum of psi exponents + sum of kappa indices."""
@@ -431,10 +432,11 @@ def automorphism_count(g) -> int:
 
 def _graph_cap() -> int:
     raw = os.environ.get("STRATA_MAX_GRAPHS", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MAX_GRAPHS
-    except ValueError:
+    if not raw:
         return _DEFAULT_MAX_GRAPHS
+    if not raw.isdecimal():
+        raise ValueError(f"STRATA_MAX_GRAPHS must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,

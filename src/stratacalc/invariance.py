@@ -13,9 +13,13 @@ two extra legs labelled i and j:
   edge ends and kappa factors in all possible ways, leg i (psi^(level-1-m)) on
   the first part and leg j (psi^m) on the second, coefficient (1/2)(-1)^(m+1).
 
-Unstable outputs are discarded; isomorphic outputs accumulate coefficients.
-The new labels are the two integers following the largest input marking, so a
-class on markings 1..n acquires legs n+1 (= i) and n+2 (= j).
+Each operation is a stream of raw candidates: validated ``(graph, coeff)``
+pairs, neither canonicalized nor merged.  Unstable outputs never enter the
+stream; building a ``TautClass`` from a stream merges isomorphic candidates.
+``operator_candidates`` chains the three streams of one graph, for callers
+that read only part of the image.  The new labels are the two integers
+following the largest input marking, so a class on markings 1..n acquires
+legs n+1 (= i) and n+2 (= j).
 
 Everything is pure and deterministic: the result is independent of the
 evaluation order because terms merge by canonical form.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classes import AmbientSignature, TautClass, zero_class
+from .classes import AmbientSignature, TautClass
 from .errors import SignatureError
 from .graphs import DecoratedGraph, DualGraph, arithmetic_genus
 
@@ -33,16 +37,10 @@ __all__ = [
     "cut_edges",
     "reduce_genus",
     "split_vertices",
+    "operator_candidates",
     "invariance_operator",
     "invariance_parts",
 ]
-
-
-def _as_input(graph) -> DecoratedGraph:
-    if isinstance(graph, DualGraph):
-        graph = graph.decorate()
-    graph.require_valid()
-    return graph
 
 
 def _fresh_labels(markings) -> tuple[int, int]:
@@ -63,22 +61,20 @@ def _output_ambient(graph: DecoratedGraph, labels) -> AmbientSignature:
     return AmbientSignature(pa - 1, frozenset(graph.markings()) | set(labels), 2)
 
 
-def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
-    """Cut every edge in turn, in both i/j labellings, with an extra psi power.
-
-    Each edge contributes four raw terms: psi^level multiplied onto the i leg
-    with coefficient 1/2 and onto the j leg with coefficient (-1)^level / 2,
-    under both label assignments.  The extra power multiplies any psi
-    decoration already sitting on the cut half-edge.
-    """
-    graph = _as_input(graph)
+def _prepare(graph, level: int, labels):
+    """Validated input graph, its new leg labels and its output ambient."""
+    if isinstance(graph, DualGraph):
+        graph = graph.decorate()
+    graph.require_valid()
     if level < 1:
         raise ValueError("level must be >= 1")
     labels = labels or _fresh_labels(set(graph.markings()))
+    return graph, labels, _output_ambient(graph, labels)
+
+
+def _cut_candidates(graph: DecoratedGraph, level: int, labels):
     i_lab, j_lab = labels
-    ambient = _output_ambient(graph, labels)
     on_j = Fraction((-1) ** level, 2)
-    terms = []
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
@@ -86,23 +82,11 @@ def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
                 legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
                 cand = DecoratedGraph(graph.genera, legs, rest, graph.kappa)
                 if not cand.validate():
-                    terms.append((cand, coeff))
-    return TautClass(ambient, terms)
+                    yield cand, coeff
 
 
-def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
-    """Lower the genus of each vertex by one, attaching decorated legs i and j.
-
-    For every vertex of genus >= 1 and every m in 0..level-1 the new legs
-    carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
-    """
-    graph = _as_input(graph)
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    labels = labels or _fresh_labels(set(graph.markings()))
+def _reduce_candidates(graph: DecoratedGraph, level: int, labels):
     i_lab, j_lab = labels
-    ambient = _output_ambient(graph, labels)
-    terms = []
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
@@ -111,27 +95,11 @@ def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
             legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
             cand = DecoratedGraph(genera, legs, graph.edges, graph.kappa)
             if not cand.validate():
-                terms.append((cand, Fraction((-1) ** (m + 1), 2)))
-    return TautClass(ambient, terms)
+                yield cand, Fraction((-1) ** (m + 1), 2)
 
 
-def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
-    """Split each vertex into an ordered pair of vertices, leg i on the first.
-
-    All ordered genus splits (g1, g2) are enumerated, every leg and edge end
-    of the split vertex goes independently to either part, and the kappa
-    factors are distributed as if they were extra half-edges (equal indices
-    count as distinguishable, so repeated factors create multiplicity before
-    canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
-    leg i and psi^m on leg j, m in 0..level-1.
-    """
-    graph = _as_input(graph)
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    labels = labels or _fresh_labels(set(graph.markings()))
+def _split_candidates(graph: DecoratedGraph, level: int, labels):
     i_lab, j_lab = labels
-    ambient = _output_ambient(graph, labels)
-    terms = []
     new_v = graph.n_vertices   # index of the second part
     for v in range(graph.n_vertices):
         h = graph.genera[v]
@@ -169,13 +137,76 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
                                           tuple(tuple(t) for t in edges),
                                           kappa)
                     if not cand.validate():
-                        terms.append((cand, coeff))
-    return TautClass(ambient, terms)
+                        yield cand, coeff
 
 
-def _check_domain(x: TautClass) -> None:
+#: Candidate stream of each operation, in the order the operator sums them.
+_PARTS = {"cut": _cut_candidates, "reduce": _reduce_candidates,
+          "split": _split_candidates}
+
+
+def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
+    """Cut every edge in turn, in both i/j labellings, with an extra psi power.
+
+    Each edge contributes four raw terms: psi^level multiplied onto the i leg
+    with coefficient 1/2 and onto the j leg with coefficient (-1)^level / 2,
+    under both label assignments.  The extra power multiplies any psi
+    decoration already sitting on the cut half-edge.
+    """
+    graph, labels, ambient = _prepare(graph, level, labels)
+    return TautClass(ambient, _cut_candidates(graph, level, labels))
+
+
+def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
+    """Lower the genus of each vertex by one, attaching decorated legs i and j.
+
+    For every vertex of genus >= 1 and every m in 0..level-1 the new legs
+    carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
+    """
+    graph, labels, ambient = _prepare(graph, level, labels)
+    return TautClass(ambient, _reduce_candidates(graph, level, labels))
+
+
+def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
+    """Split each vertex into an ordered pair of vertices, leg i on the first.
+
+    All ordered genus splits (g1, g2) are enumerated, every leg and edge end
+    of the split vertex goes independently to either part, and the kappa
+    factors are distributed as if they were extra half-edges (equal indices
+    count as distinguishable, so repeated factors create multiplicity before
+    canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
+    leg i and psi^m on leg j, m in 0..level-1.
+    """
+    graph, labels, ambient = _prepare(graph, level, labels)
+    return TautClass(ambient, _split_candidates(graph, level, labels))
+
+
+def operator_candidates(graph, level: int = 1, labels=None):
+    """Yield the raw candidates of cut, reduce and split for one graph.
+
+    Each item is a validated ``(graph, coeff)`` pair, neither canonicalized
+    nor merged; ``TautClass(ambient, operator_candidates(graph))`` on the
+    output ambient is the operator image of ``graph``.  Signature checks are
+    left to the consumer.
+    """
+    graph, labels, _ = _prepare(graph, level, labels)
+    for stream in _PARTS.values():
+        yield from stream(graph, level, labels)
+
+
+def _collect(x: TautClass, streams, level: int) -> TautClass:
+    """One class holding every candidate of every term of ``x`` in ``streams``."""
     if x.ambient.max_components != 1:
         raise SignatureError("the genus-lowering operator expects a connected ambient")
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    labels = _fresh_labels(x.ambient.markings)
+    out = AmbientSignature(x.ambient.genus - 1,
+                           x.ambient.markings | set(labels), 2)
+    return TautClass(out, ((cand, coeff * c)
+                           for _, graph, coeff in x.items()
+                           for stream in streams
+                           for cand, c in stream(graph, level, labels)))
 
 
 def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:
@@ -184,16 +215,7 @@ def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:
     Returns ``{"cut": ..., "reduce": ..., "split": ...}`` on the common output
     ambient; their sum is ``invariance_operator(x, level)``.
     """
-    _check_domain(x)
-    labels = _fresh_labels(x.ambient.markings)
-    out = AmbientSignature(x.ambient.genus - 1,
-                           x.ambient.markings | set(labels), 2)
-    parts = {"cut": zero_class(out), "reduce": zero_class(out), "split": zero_class(out)}
-    for _, graph, coeff in x.items():
-        parts["cut"] += coeff * cut_edges(graph, level, labels)
-        parts["reduce"] += coeff * reduce_genus(graph, level, labels)
-        parts["split"] += coeff * split_vertices(graph, level, labels)
-    return parts
+    return {name: _collect(x, (stream,), level) for name, stream in _PARTS.items()}
 
 
 def invariance_operator(x: TautClass, level: int = 1,
@@ -207,5 +229,4 @@ def invariance_operator(x: TautClass, level: int = 1,
     """
     if level != 1 and not experimental:
         raise ValueError("level >= 2 is experimental; pass experimental=True")
-    parts = invariance_parts(x, level)
-    return parts["cut"] + parts["reduce"] + parts["split"]
+    return _collect(x, tuple(_PARTS.values()), level)

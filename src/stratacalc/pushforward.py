@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import TautClass, monomial_class
+from .classes import INHOMOGENEOUS, ZERO_DEGREE, TautClass, monomial_class
 from .errors import SignatureError
 
 __all__ = [
@@ -122,9 +122,9 @@ class InteriorClass:
 
     def degree(self):
         if not self._terms:
-            return "zero"
+            return ZERO_DEGREE
         degrees = {m.degree for m in self._terms}
-        return degrees.pop() if len(degrees) == 1 else "inhomogeneous"
+        return degrees.pop() if len(degrees) == 1 else INHOMOGENEOUS
 
     def add(self, other: "InteriorClass") -> "InteriorClass":
         if (self.g, self.n) != (other.g, other.n):

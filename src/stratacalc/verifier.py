@@ -33,7 +33,7 @@ from .graphs import (
     enumerate_stable_graphs,
     single_vertex,
 )
-from .invariance import invariance_operator
+from .invariance import invariance_operator, operator_candidates
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
@@ -431,11 +431,32 @@ class VerificationReport:
 
 # ------------------------------------------------------------------- verifier
 
-def _leg_psi(graph: DecoratedGraph, marking: int) -> int:
-    for _, m, p in graph.legs:
-        if m == marking:
-            return p
-    return 0
+#: Shape of a witness, and of the image terms the structural check flags:
+#: no edge and psi^0 on both new legs.
+_BARE = (0, 0, 0)
+
+
+def _shape(graph: DecoratedGraph, i_lab: int, j_lab: int) -> tuple[int, int, int]:
+    """Edge count and psi exponents on legs i and j: isomorphism invariants."""
+    return graph.n_edges, graph.psi_of_marking(i_lab), graph.psi_of_marking(j_lab)
+
+
+def _targeted_image(graph: DecoratedGraph, ambient: AmbientSignature, shapes,
+                    i_lab: int, j_lab: int) -> TautClass:
+    """The terms of the operator image of ``graph`` whose ``_shape`` lies in
+    ``shapes``, with the coefficients they have in the full image.
+
+    Candidates of any other shape cannot share a canonical form with these,
+    so they are never canonicalized; every candidate, kept or not, is still
+    signature-checked against ``ambient``.
+    """
+    def kept():
+        for cand, coeff in operator_candidates(graph, labels=(i_lab, j_lab)):
+            ambient.check(cand)
+            if _shape(cand, i_lab, j_lab) in shapes:
+                yield cand, coeff
+
+    return TautClass(ambient, kept())
 
 
 def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
@@ -457,8 +478,19 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
         mono: invariance_operator(monomial_class(g, n, mono.kappa, mono.psi_dict()))
         for mono in gens
     }
-    amb = AmbientSignature(g, frozenset(range(1, n + 1)), 1)
-    op_of_boundary = [invariance_operator(TautClass(amb, [(G, 1)])) for G in bgraphs]
+    # boundary images are read only at the witnesses and, for the structural
+    # check, at bare terms
+    witness_of = {}
+    shapes = {_BARE}
+    for mono in gens:
+        witness = (witness_overrides[mono] if mono in witness_overrides
+                   else witness_graph_for(mono, g, n))
+        witness_of[mono] = None if witness is None else canonicalize(witness)
+        if witness is not None:
+            shapes.add(_shape(witness_of[mono][1], i_lab, j_lab))
+    out_amb = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
+    image_of_boundary = [_targeted_image(G, out_amb, shapes, i_lab, j_lab)
+                         for G in bgraphs]
 
     system_cache: SystemReport | None = None
     entries = []
@@ -466,12 +498,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     witnesses: list[DecoratedGraph] = []
 
     for mono in gens:
-        if mono in witness_overrides:
-            witness = witness_overrides[mono]
-        else:
-            witness = witness_graph_for(mono, g, n)
-
-        if witness is None:
+        if witness_of[mono] is None:
             if n == 0:
                 c = faber_constant(g, k)
                 ok = c != 1
@@ -495,7 +522,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             continue
 
         violations = []
-        form, canon = canonicalize(witness)
+        form, canon = witness_of[mono]
         witnesses.append(canon)
         self_coeff = op_of_gen[mono].coefficient_of(canon)
         if self_coeff == 0:
@@ -511,8 +538,8 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                     f"witness also appears in the image of {other} "
                     f"with coefficient {coeff}")
         bnd_coeffs = []
-        for G, op in zip(bgraphs, op_of_boundary):
-            coeff = op.coefficient_of(canon)
+        for G, image in zip(bgraphs, image_of_boundary):
+            coeff = image.coefficient_of(canon)
             bnd_coeffs.append(str(coeff))
             if coeff != 0:
                 violations.append(
@@ -536,17 +563,14 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     # coefficient extraction above: boundary images keep an edge or a psi on
     # the new legs; witnesses are edge-free with psi^0 there.
     structural_violations = []
-    for G, op in zip(bgraphs, op_of_boundary):
-        for _, graph, _ in op.items():
-            if graph.n_edges >= 1:
-                continue
-            if _leg_psi(graph, i_lab) >= 1 or _leg_psi(graph, j_lab) >= 1:
-                continue
-            structural_violations.append(
-                f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} has "
-                f"no edge and psi^0 on both new legs")
+    for G, image in zip(bgraphs, image_of_boundary):
+        for _, graph, _ in image.items():
+            if _shape(graph, i_lab, j_lab) == _BARE:
+                structural_violations.append(
+                    f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} "
+                    f"has no edge and psi^0 on both new legs")
     for w in witnesses:
-        if w.n_edges != 0 or _leg_psi(w, i_lab) != 0 or _leg_psi(w, j_lab) != 0:
+        if _shape(w, i_lab, j_lab) != _BARE:
             structural_violations.append(
                 f"witness {canonicalize(w)[0].hex()[:16]} is not edge-free with "
                 f"psi^0 on the new legs")

@@ -3,7 +3,9 @@
 These deliberately avoid the library's canonicalization and enumeration code
 paths: isomorphism is decided by raw permutation search, automorphisms are
 counted by literal half-edge bijections, and strata are regenerated through
-one-edge degeneration moves.
+one-edge degeneration moves.  ``full_image_extraction`` keeps the verifier's
+former witness extraction, which reads every coefficient from the full
+operator image of every boundary graph.
 """
 
 from __future__ import annotations
@@ -11,7 +13,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+from stratacalc.classes import AmbientSignature, TautClass, monomial_class
 from stratacalc.graphs import DecoratedGraph, canonicalize, single_vertex
+from stratacalc.invariance import invariance_operator
+from stratacalc.verifier import (
+    boundary_generators,
+    generator_monomials,
+    witness_graph_for,
+)
 
 
 def _vertex_data(g: DecoratedGraph, v: int):
@@ -123,6 +132,93 @@ def degeneration_strata(g: int, n: int, max_edges: int):
                 frontier.setdefault(form, canon)
         levels[e] = frontier
     return levels
+
+
+# ------------------------------------------------- full-image witness extraction
+
+def _leg_psi(graph: DecoratedGraph, marking: int) -> int:
+    for _, m, p in graph.legs:
+        if m == marking:
+            return p
+    return 0
+
+
+def full_image_extraction(g: int, n: int, k: int, witness_overrides=None,
+                          boundary_image=None):
+    """Witness coefficients and structural check read off full operator images.
+
+    ``boundary_image(G)`` gives the image class of boundary graph ``G``; the
+    default is ``invariance_operator`` of ``G`` itself.  Returns
+    ``(rows, structural_violations)``: ``rows`` maps each witness-split
+    monomial string to its (self coefficient, generator coefficients,
+    boundary coefficients, violations), all as the report renders them.
+    """
+    witness_overrides = witness_overrides or {}
+    i_lab, j_lab = n + 1, n + 2
+    if boundary_image is None:
+        amb = AmbientSignature(g, frozenset(range(1, n + 1)), 1)
+
+        def boundary_image(G):
+            return invariance_operator(TautClass(amb, [(G, 1)]))
+
+    gens = generator_monomials(g, n, k)
+    bgraphs = boundary_generators(g, n, k)
+    op_of_gen = {
+        mono: invariance_operator(monomial_class(g, n, mono.kappa, mono.psi_dict()))
+        for mono in gens
+    }
+    op_of_boundary = [boundary_image(G) for G in bgraphs]
+
+    rows = {}
+    witnesses = []
+    for mono in gens:
+        witness = (witness_overrides[mono] if mono in witness_overrides
+                   else witness_graph_for(mono, g, n))
+        if witness is None:
+            continue
+        violations = []
+        canon = canonicalize(witness)[1]
+        witnesses.append(canon)
+        self_coeff = op_of_gen[mono].coefficient_of(canon)
+        if self_coeff == 0:
+            violations.append("witness has zero coefficient in its own image")
+        gen_coeffs = []
+        for other in gens:
+            if other == mono:
+                continue
+            coeff = op_of_gen[other].coefficient_of(canon)
+            gen_coeffs.append((str(other), str(coeff)))
+            if coeff != 0:
+                violations.append(
+                    f"witness also appears in the image of {other} "
+                    f"with coefficient {coeff}")
+        bnd_coeffs = []
+        for G, op in zip(bgraphs, op_of_boundary):
+            coeff = op.coefficient_of(canon)
+            bnd_coeffs.append(str(coeff))
+            if coeff != 0:
+                violations.append(
+                    f"witness appears in the image of boundary graph "
+                    f"{canonicalize(G)[0].hex()[:16]} with coefficient {coeff}")
+        rows[str(mono)] = (str(self_coeff), tuple(gen_coeffs), tuple(bnd_coeffs),
+                           tuple(violations))
+
+    structural = []
+    for G, op in zip(bgraphs, op_of_boundary):
+        for _, graph, _ in op.items():
+            if graph.n_edges >= 1:
+                continue
+            if _leg_psi(graph, i_lab) >= 1 or _leg_psi(graph, j_lab) >= 1:
+                continue
+            structural.append(
+                f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} has "
+                f"no edge and psi^0 on both new legs")
+    for w in witnesses:
+        if w.n_edges != 0 or _leg_psi(w, i_lab) != 0 or _leg_psi(w, j_lab) != 0:
+            structural.append(
+                f"witness {canonicalize(w)[0].hex()[:16]} is not edge-free with "
+                f"psi^0 on the new legs")
+    return rows, tuple(structural)
 
 
 # ------------------------------------------------------------- random graphs

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from stratacalc.cli import main
 from stratacalc.serialize import (
     class_from_obj,
@@ -53,6 +55,17 @@ def test_enumerate_size_guard(tmp_path, monkeypatch):
     monkeypatch.setenv("STRATA_MAX_GRAPHS", "1")
     assert run("enumerate", "--g", 3, "--n", 0, "--max-edges", 2,
                "--out", tmp_path / "x.json") == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+@pytest.mark.parametrize("argv", [("enumerate", "--g", 2, "--n", 0, "--max-edges", 1),
+                                  ("verify", "--g", 6, "--n", 0, "--k", 1)])
+def test_malformed_graph_cap_exits_2(monkeypatch, capsys, raw, argv):
+    monkeypatch.setenv("STRATA_MAX_GRAPHS", raw)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"STRATA_MAX_GRAPHS must be a non-negative integer, got {raw!r}" in captured.err
 
 
 # ------------------------------------------------------------------------ r1

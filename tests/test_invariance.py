@@ -170,6 +170,31 @@ def test_operator_linearity_exact():
         assert lhs == rhs
 
 
+def test_operator_equals_sum_of_parts_multi_term():
+    amb = AmbientSignature(4, frozenset({1}), 1)
+    terms = [
+        (single_vertex(4, [(1, 1)], (1,)), Fraction(3, 2)),
+        (single_vertex(4, [(1, 0)], (1, 2)), Fraction(-1)),
+        (DecoratedGraph((3, 1), ((1, 1, 0),), ((0, 1, 1, 0),), ((), (1,))), Fraction(2, 7)),
+        (DecoratedGraph((3,), ((0, 1, 0),), ((0, 0, 0, 1),), ((1,),)), Fraction(-5)),
+        (DecoratedGraph((2, 1), ((0, 1, 1),), ((0, 0, 1, 0), (0, 0, 1, 0)), ((), ())),
+         Fraction(1, 3)),
+    ]
+    x = TautClass(amb, terms)
+    assert len(x) == len(terms)
+    for level in (1, 2):
+        parts = invariance_parts(x, level)
+        for name, op in (("cut", cut_edges), ("reduce", reduce_genus),
+                         ("split", split_vertices)):
+            termwise = TautClass(parts[name].ambient)
+            for _, graph, coeff in x.items():
+                termwise = termwise + coeff * op(graph, level, (2, 3))
+            assert parts[name] == termwise, name
+        total = parts["cut"] + parts["reduce"] + parts["split"]
+        assert not total.is_zero
+        assert total == invariance_operator(x, level, experimental=True)
+
+
 def test_experimental_gate():
     x = fundamental_class(3, 0)
     with pytest.raises(ValueError):

@@ -5,18 +5,26 @@ from fractions import Fraction
 import pytest
 
 from stratacalc import (
+    AmbientSignature,
+    DecoratedGraph,
     InteriorMonomial,
+    SignatureError,
     SizeGuardError,
+    TautClass,
     boundary_generators,
     canonical_form,
     disjoint_union,
     enumerate_stable_graphs,
     generator_monomials,
+    invariance_operator,
     single_vertex,
     solve_coefficient_system,
     verify_witness_independence,
     witness_graph_for,
 )
+from stratacalc import verifier
+
+from oracles import full_image_extraction
 
 
 def mono(kappa=(), psi=None):
@@ -148,6 +156,20 @@ def test_system_distinct_images():
 
 # ------------------------------------------------------------- verification
 
+# witness overrides for kappa_1 on (6, 0, 1); legs 1 and 2 are i and j.
+# The (4,2) split term is a second legitimate witness for kappa_1.
+ALT_WITNESS = disjoint_union(single_vertex(4, [(1, 0)], (1,)),
+                             single_vertex(2, [(2, 0)]))
+# Wrong kappa decoration: the graph never appears in the image of kappa_1.
+BOGUS_WITNESS = disjoint_union(single_vertex(5, [(1, 0)], (2,)),
+                               single_vertex(1, [(2, 0)]))
+# psi on leg i: cutting the (5,1) bridge produces it, and it breaks the
+# structural shape.
+PSI_WITNESS = disjoint_union(single_vertex(5, [(1, 1)]),
+                             single_vertex(1, [(2, 0)]))
+# One edge: a term of the split image of the (5,1) bridge.
+EDGE_WITNESS = DecoratedGraph((4, 1, 1), ((0, 1, 0), (2, 2, 0)), ((0, 0, 1, 0),))
+
 def test_verify_basic_instance():
     rep = verify_witness_independence(6, 0, 1)
     assert rep.passed
@@ -203,20 +225,14 @@ def test_verify_extrapolated_flag_multimark_low_degree():
 
 
 def test_verify_alternative_valid_witness_still_passes():
-    # the (4,2) split term is a second legitimate witness for kappa_1
-    alt = disjoint_union(single_vertex(4, [(1, 0)], (1,)),
-                         single_vertex(2, [(2, 0)]))
     rep = verify_witness_independence(
-        6, 0, 1, witness_overrides={mono((1,)): alt})
+        6, 0, 1, witness_overrides={mono((1,)): ALT_WITNESS})
     assert rep.passed
 
 
 def test_verify_corrupted_witness_fails_cleanly():
-    # wrong kappa decoration: the graph never appears in the image of kappa_1
-    bogus = disjoint_union(single_vertex(5, [(1, 0)], (2,)),
-                           single_vertex(1, [(2, 0)]))
     rep = verify_witness_independence(
-        6, 0, 1, witness_overrides={mono((1,)): bogus})
+        6, 0, 1, witness_overrides={mono((1,)): BOGUS_WITNESS})
     assert not rep.passed
     (entry,) = rep.entries
     assert any("zero coefficient" in v for v in entry.violations)
@@ -253,3 +269,87 @@ def test_verify_multimark_top_degree_branches():
     assert branches["kappa_2"] == "witness-split"
     assert branches["psi_1^2"] == "pushforward-system"
     assert branches["psi_2^2"] == "pushforward-system"
+
+
+# ------------------------------------------- targeted vs full-image extraction
+
+def _assert_matches_reference(rep, rows, structural):
+    witness_entries = [e for e in rep.entries if e.branch == "witness-split"]
+    assert [e.monomial for e in witness_entries] == list(rows)
+    for e in witness_entries:
+        assert (e.self_coefficient, e.generator_coefficients,
+                e.boundary_coefficients, e.violations) == rows[e.monomial]
+    assert rep.structural_violations == structural
+    assert rep.structural_ok == (not structural)
+
+
+@pytest.mark.parametrize("g,n,k", [(6, 0, 1), (7, 0, 1), (6, 1, 1), (6, 2, 1),
+                                   (6, 2, 2), (6, 3, 1), (9, 0, 2)])
+def test_targeted_extraction_matches_full_image(g, n, k):
+    rep = verify_witness_independence(g, n, k)
+    _assert_matches_reference(rep, *full_image_extraction(g, n, k))
+
+
+@pytest.mark.parametrize("witness", [ALT_WITNESS, BOGUS_WITNESS, PSI_WITNESS,
+                                     EDGE_WITNESS])
+def test_targeted_extraction_matches_full_image_with_overrides(witness):
+    overrides = {mono((1,)): witness}
+    rep = verify_witness_independence(6, 0, 1, witness_overrides=overrides)
+    _assert_matches_reference(rep, *full_image_extraction(
+        6, 0, 1, witness_overrides=overrides))
+
+
+def _inject(monkeypatch, target, extras):
+    """Append ``extras`` to the verifier's candidate stream of ``target``."""
+    real = verifier.operator_candidates
+
+    def stream(graph, *args, **kwargs):
+        yield from real(graph, *args, **kwargs)
+        if graph == target:
+            yield from extras
+
+    monkeypatch.setattr(verifier, "operator_candidates", stream)
+
+
+# bare (edge-free, psi^0 on i and j) terms on the (5, {1, 2}) output ambient of
+# (6, 0, 1); each pair is one isomorphism class written two ways
+BARE = disjoint_union(single_vertex(3, [(1, 0)]), single_vertex(3, [(2, 0)]))
+BARE_SWAPPED = disjoint_union(single_vertex(3, [(2, 0)]), single_vertex(3, [(1, 0)]))
+KAPPA1_WITNESS = disjoint_union(single_vertex(5, [(1, 0)], (1,)),
+                                single_vertex(1, [(2, 0)]))
+KAPPA1_WITNESS_SWAPPED = disjoint_union(single_vertex(1, [(2, 0)]),
+                                        single_vertex(5, [(1, 0)], (1,)))
+
+
+@pytest.mark.parametrize("extras,n_structural", [
+    ([(BARE, 1)], 1),
+    ([(BARE, 1), (BARE_SWAPPED, 1)], 1),
+    ([(BARE, 1), (BARE_SWAPPED, -1)], 0),
+    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 1),
+])
+def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural):
+    g, n, k = 6, 0, 1
+    target = boundary_generators(g, n, k)[0]
+    _inject(monkeypatch, target, extras)
+    rep = verify_witness_independence(g, n, k)
+    assert len(rep.structural_violations) == n_structural
+    assert rep.structural_ok == (n_structural == 0)
+
+    amb = AmbientSignature(g, frozenset(), 1)
+    out = AmbientSignature(g - 1, frozenset({1, 2}), 2)
+
+    def image(G):
+        full = invariance_operator(TautClass(amb, [(G, 1)]))
+        return full + TautClass(out, extras) if G == target else full
+
+    _assert_matches_reference(rep, *full_image_extraction(g, n, k,
+                                                          boundary_image=image))
+
+
+def test_candidate_off_the_ambient_raises_even_when_filtered_out(monkeypatch):
+    # genus 6 instead of 5, and psi on leg i: no witness or structural
+    # suspect has these invariants, so the candidate is never canonicalized
+    stray = single_vertex(6, [(1, 1), (2, 0)])
+    _inject(monkeypatch, boundary_generators(6, 0, 1)[-1], [(stray, 1)])
+    with pytest.raises(SignatureError, match="arithmetic genus 6"):
+        verify_witness_independence(6, 0, 1)
