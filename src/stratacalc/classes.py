@@ -42,9 +42,11 @@ class AmbientSignature:
         object.__setattr__(self, "markings", frozenset(int(m) for m in self.markings))
         if self.max_components not in (1, 2):
             raise ValueError("max_components must be 1 or 2")
+        # not a field: stays out of __eq__, __hash__ and repr
+        object.__setattr__(self, "_marking_tuple", tuple(sorted(self.markings)))
 
     def marking_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.markings))
+        return self._marking_tuple
 
     def check(self, graph: DecoratedGraph) -> None:
         """Raise ``SignatureError`` unless the valid ``graph`` lies on this ambient:
@@ -53,10 +55,10 @@ class AmbientSignature:
         if pa != self.genus:
             raise SignatureError(
                 f"graph has arithmetic genus {pa}, ambient requires {self.genus}")
-        if graph.markings() != self.marking_tuple():
+        if graph.markings() != self._marking_tuple:
             raise SignatureError(
                 f"graph markings {graph.markings()} differ from ambient "
-                f"{self.marking_tuple()}")
+                f"{self._marking_tuple}")
         if component_count(graph) > self.max_components:
             raise SignatureError(
                 f"graph has {component_count(graph)} components, ambient allows "

@@ -170,8 +170,11 @@ class DecoratedGraph:
                          tuple((v, m) for v, m, _ in self.legs),
                          tuple((v1, v2) for v1, _, v2, _ in self.edges))
 
-    def components(self) -> list[frozenset[int]]:
+    def _union_find(self):
+        """Join the ends of every edge: the root-of-vertex function and the
+        number of components."""
         parent = list(range(self.n_vertices))
+        count = self.n_vertices
 
         def find(x):
             while parent[x] != x:
@@ -183,6 +186,11 @@ class DecoratedGraph:
             a, b = find(v1), find(v2)
             if a != b:
                 parent[a] = b
+                count -= 1
+        return find, count
+
+    def components(self) -> list[frozenset[int]]:
+        find, _ = self._union_find()
         groups = defaultdict(set)
         for v in range(self.n_vertices):
             groups[find(v)].add(v)
@@ -269,7 +277,7 @@ def arithmetic_genus(g) -> int:
 
 
 def component_count(g) -> int:
-    return len(_as_decorated(g).components())
+    return _as_decorated(g)._union_find()[1]
 
 
 def single_vertex(genus: int, legs=(), kappa=()) -> DecoratedGraph:
@@ -439,6 +447,34 @@ def _graph_cap() -> int:
     return int(raw)
 
 
+def _one_edge_degenerations(graph: DecoratedGraph):
+    """Yield the stable graphs with one edge more than the stable ``graph``: a
+    self-loop at a vertex of genus >= 1, lowering its genus, or a split of a
+    vertex into two parts joined by a new edge, with every genus split and
+    every assignment of the vertex's half-edges.  Only the two parts of a split
+    can be unstable.  Swapping the parts gives an isomorphic graph, so the
+    vertex's last half-edge stays on the old vertex."""
+    genera, legs, edges, kappa = graph.genera, graph.legs, graph.edges, graph.kappa
+    new_v = len(genera)
+    for v, h in enumerate(genera):
+        if h:
+            yield DecoratedGraph(genera[:v] + (h - 1,) + genera[v + 1:], legs,
+                                 edges + ((v, 0, v, 0),), kappa)
+        ends = [(0, i, 0) for i, leg in enumerate(legs) if leg[0] == v]
+        ends += [(1, i, side) for i, edge in enumerate(edges)
+                 for side in (0, 2) if edge[side] == v]
+        for mask in range(1 << max(len(ends) - 1, 0)):
+            moved = mask.bit_count()
+            rows = (list(map(list, legs)), list(map(list, edges)) + [(v, 0, new_v, 0)])
+            for bit, (kind, i, side) in enumerate(ends):
+                if mask >> bit & 1:
+                    rows[kind][i][side] = new_v
+            for g1 in range(h + 1):
+                if 2 * g1 - 1 + len(ends) - moved > 0 and 2 * (h - g1) - 1 + moved > 0:
+                    yield DecoratedGraph(genera[:v] + (g1,) + genera[v + 1:] + (h - g1,),
+                                         *rows, kappa + ((),))
+
+
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,
                             min_edges: int | None = None) -> list[DualGraph]:
     """All connected stable dual graphs of arithmetic genus ``g`` with markings
@@ -449,6 +485,10 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
     degenerations); ``max_edges == 0`` yields the smooth graph alone.  Pass
     ``min_edges=0`` explicitly to include the smooth graph alongside the
     degenerate ones.
+
+    Level e is grown from level e - 1 by one-edge degenerations (a self-node,
+    or a vertex split), the inverse of contracting an edge.
+    ``STRATA_MAX_GRAPHS`` caps the returned list; lower levels do not count.
     """
     if g < 0 or n < 0 or max_edges < 0:
         raise ValueError("g, n and max_edges must be non-negative")
@@ -458,33 +498,23 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
         raise ValueError("need 0 <= min_edges <= max_edges")
     cap = _graph_cap()
 
-    found: dict[CanonicalForm, DualGraph] = {}
-    vertex_budget = 2 * g - 2 + n   # every stable vertex contributes >= 1
-    for e in range(min_edges, max_edges + 1):
-        for V in range(1, min(vertex_budget, e + 1) + 1):
-            total_genus = g - e + V - 1
-            if total_genus < 0:
-                continue
-            pairs = [(u, v) for u in range(V) for v in range(u, V)]
-            for genera in compositions(total_genus, V):
-                for leg_to in itertools.product(range(V), repeat=n):
-                    legs = tuple((leg_to[m - 1], m) for m in range(1, n + 1))
-                    for chosen in itertools.combinations_with_replacement(pairs, e):
-                        val = [0] * V
-                        for v, _ in legs:
-                            val[v] += 1
-                        for u, v in chosen:
-                            val[u] += 1
-                            val[v] += 1
-                        if any(2 * genera[v] - 2 + val[v] <= 0 for v in range(V)):
-                            continue
-                        dual = DualGraph(genera, legs, chosen)
-                        if component_count(dual) != 1:
-                            continue
-                        form, canon = canonicalize(dual.decorate())
-                        if form not in found:
-                            found[form] = canon.underlying()
-                            if len(found) > cap:
-                                raise SizeGuardError(
-                                    f"enumeration exceeded STRATA_MAX_GRAPHS={cap}")
-    return [found[f] for f in sorted(found)]
+    smooth = single_vertex(g, range(1, n + 1))
+    if smooth.validate():
+        return []
+    found: dict[CanonicalForm, DecoratedGraph] = {}
+    below = ()
+    for e in range(max_edges + 1):
+        candidates = ([smooth] if e == 0 else
+                      (cand for graph in below for cand in _one_edge_degenerations(graph)))
+        level: dict[CanonicalForm, DecoratedGraph] = {}
+        for cand in candidates:
+            form, canon = canonicalize(cand)
+            level[form] = canon
+            if e >= min_edges and len(found) + len(level) > cap:
+                raise SizeGuardError(f"enumeration exceeded STRATA_MAX_GRAPHS={cap}")
+        if not level:
+            break
+        if e >= min_edges:
+            found.update(level)
+        below = level.values()
+    return [found[f].underlying() for f in sorted(found)]

@@ -3,7 +3,9 @@
 These deliberately avoid the library's canonicalization and enumeration code
 paths: isomorphism is decided by raw permutation search, automorphisms are
 counted by literal half-edge bijections, and strata are regenerated through
-one-edge degeneration moves.  ``full_image_extraction`` keeps the verifier's
+one-edge degeneration moves.  ``enumerate_bruteforce`` keeps the library's
+former stable-graph enumeration, which builds every genus composition, leg
+placement and edge multiset.  ``full_image_extraction`` keeps the verifier's
 former witness extraction, which reads every coefficient from the full
 operator image of every boundary graph.
 """
@@ -14,7 +16,15 @@ import itertools
 from collections import Counter
 
 from stratacalc.classes import AmbientSignature, TautClass, monomial_class
-from stratacalc.graphs import DecoratedGraph, canonicalize, single_vertex
+from stratacalc.graphs import (
+    CanonicalForm,
+    DecoratedGraph,
+    DualGraph,
+    canonicalize,
+    component_count,
+    compositions,
+    single_vertex,
+)
 from stratacalc.invariance import invariance_operator
 from stratacalc.verifier import (
     boundary_generators,
@@ -132,6 +142,49 @@ def degeneration_strata(g: int, n: int, max_edges: int):
                 frontier.setdefault(form, canon)
         levels[e] = frontier
     return levels
+
+
+# ------------------------------------------------------ brute-force enumeration
+
+def enumerate_bruteforce(g: int, n: int, max_edges: int,
+                         min_edges: int | None = None) -> list[DualGraph]:
+    """Connected stable dual graphs of genus ``g`` with markings ``1..n`` and
+    ``min_edges..max_edges`` edges, sorted by canonical form: every genus
+    composition x leg placement x edge multiset, each canonicalized."""
+    if g < 0 or n < 0 or max_edges < 0:
+        raise ValueError("g, n and max_edges must be non-negative")
+    if min_edges is None:
+        min_edges = min(1, max_edges)
+    if not 0 <= min_edges <= max_edges:
+        raise ValueError("need 0 <= min_edges <= max_edges")
+
+    found: dict[CanonicalForm, DualGraph] = {}
+    vertex_budget = 2 * g - 2 + n   # every stable vertex contributes >= 1
+    for e in range(min_edges, max_edges + 1):
+        for V in range(1, min(vertex_budget, e + 1) + 1):
+            total_genus = g - e + V - 1
+            if total_genus < 0:
+                continue
+            pairs = [(u, v) for u in range(V) for v in range(u, V)]
+            for genera in compositions(total_genus, V):
+                for leg_to in itertools.product(range(V), repeat=n):
+                    legs = tuple((leg_to[m - 1], m) for m in range(1, n + 1))
+                    for chosen in itertools.combinations_with_replacement(pairs, e):
+                        val = [0] * V
+                        for v, _ in legs:
+                            val[v] += 1
+                        for u, v in chosen:
+                            val[u] += 1
+                            val[v] += 1
+                        if any(2 * genera[v] - 2 + val[v] <= 0 for v in range(V)):
+                            continue
+                        dual = DualGraph(genera, legs, chosen)
+                        if component_count(dual) != 1:
+                            continue
+                        form, canon = canonicalize(dual.decorate())
+                        if form not in found:
+                            found[form] = canon.underlying()
+    return [found[f] for f in sorted(found)]
 
 
 # ------------------------------------------------- full-image witness extraction
@@ -257,7 +310,7 @@ def random_decorated_graph(rng, max_vertices=4, max_extra_edges=2, max_marks=3,
         graph = DecoratedGraph(genera, legs, edge_tuples, kappa)
         if graph.validate():
             continue
-        from stratacalc.graphs import arithmetic_genus, component_count
+        from stratacalc.graphs import arithmetic_genus
         if not lo <= arithmetic_genus(graph) <= hi:
             continue
         if connected and component_count(graph) != 1:

@@ -19,10 +19,12 @@ from stratacalc import (
     single_vertex,
     validate,
 )
+from stratacalc.cli import main
 
 from oracles import (
     automorphisms_bruteforce,
     degeneration_strata,
+    enumerate_bruteforce,
     iso_bruteforce,
     random_decorated_graph,
 )
@@ -238,6 +240,36 @@ def test_enumerate_matches_degeneration_oracle(g, n, emax):
         ours = enumerate_stable_graphs(g, n, e, min_edges=e)
         forms = {canonical_form(G.decorate()) for G in ours}
         assert forms == set(oracle[e])
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in range(4) for n in range(4)])
+def test_enumerate_matches_bruteforce(g, n):
+    # max_edges up to 3 also runs past the top level 3g-3+n of small (g, n)
+    reference = enumerate_bruteforce(g, n, 3, min_edges=0)
+    for emax in range(4):
+        for emin in [None] + list(range(emax + 1)):
+            lo = min(1, emax) if emin is None else emin
+            expected = [G for G in reference if lo <= len(G.edges) <= emax]
+            assert enumerate_stable_graphs(g, n, emax, emin) == expected
+
+
+def test_enumerate_size_guard_boundary(monkeypatch, tmp_path):
+    # The cap bounds the returned list only; levels below min_edges are
+    # grown but do not count toward it.
+    size = len(enumerate_stable_graphs(3, 0, 2))
+    top = len(enumerate_stable_graphs(3, 0, 2, min_edges=2))
+    assert top < size   # a cap of ``top`` trips if level 1 is counted
+    for min_edges, cap in ((None, size), (2, top)):
+        extra = [] if min_edges is None else ["--min-edges", "2"]
+        argv = ["enumerate", "--g", "3", "--n", "0", "--max-edges", "2",
+                "--out", str(tmp_path / "x.json")] + extra
+        monkeypatch.setenv("STRATA_MAX_GRAPHS", str(cap))
+        assert len(enumerate_stable_graphs(3, 0, 2, min_edges)) == cap
+        assert main(argv) == 0
+        monkeypatch.setenv("STRATA_MAX_GRAPHS", str(cap - 1))
+        with pytest.raises(SizeGuardError):
+            enumerate_stable_graphs(3, 0, 2, min_edges)
+        assert main(argv) == 3
 
 
 def test_enumerate_sorted_and_deterministic():
