@@ -10,6 +10,7 @@ automorphism factors are folded in.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,47 +66,35 @@ class AmbientSignature:
                 f"at most {self.max_components}")
 
 
-class TautClass:
-    """Formal sum of canonical decorated graphs with exact rational coefficients."""
+def _summed(*pairs) -> dict:
+    """``{key: coefficient}`` summed over iterables of ``(key, coefficient)``
+    pairs, without the keys whose coefficients cancel."""
+    out = {}
+    for key, coeff in itertools.chain(*pairs):
+        if key in out:
+            out[key] += coeff
+        else:
+            out[key] = coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
-    __slots__ = ("ambient", "_terms")
 
-    def __init__(self, ambient: AmbientSignature, terms=()):
-        merged: dict[CanonicalForm, list] = {}
-        for graph, coeff in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if isinstance(graph, DualGraph):
-                graph = graph.decorate()
-            form, canon = canonicalize(graph)   # rejects invalid graphs
-            ambient.check(canon)
-            if form in merged:
-                merged[form][1] += coeff
-            else:
-                merged[form] = [canon, coeff]
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_terms",
-                           {f: (g, c) for f, (g, c) in merged.items() if c != 0})
+def _scaled(terms: dict, coeff) -> dict:
+    coeff = Fraction(coeff)
+    if not coeff:
+        return {}
+    return {key: coeff * c for key, c in terms.items()}
 
-    # --------------------------------------------------------------- queries
 
-    def items(self):
-        """Yield ``(form, graph, coefficient)`` in canonical (deterministic) order."""
-        for form in sorted(self._terms):
-            graph, coeff = self._terms[form]
-            yield form, graph, coeff
+class _LinearCombination:
+    """Algebra shared by exact rational combinations of terms.
 
-    def graphs(self) -> list[DecoratedGraph]:
-        return [graph for _, graph, _ in self.items()]
+    ``_terms`` maps each term's key to its non-zero ``Fraction`` coefficient.
+    A subclass names its ambient (``_space``), the degrees of its terms
+    (``_degrees``) and its own ``add`` and ``scale``, which build results from
+    the merged dicts without re-checking a term.
+    """
 
-    def coefficient_of(self, graph) -> Fraction:
-        """Stored coefficient of the canonical form of ``graph`` (0 if absent)."""
-        if isinstance(graph, DualGraph):
-            graph = graph.decorate()
-        form, _ = canonicalize(graph)
-        entry = self._terms.get(form)
-        return entry[1] if entry else Fraction(0)
+    __slots__ = ("_terms",)
 
     @property
     def is_zero(self) -> bool:
@@ -119,30 +108,16 @@ class TautClass:
         the zero class reports the distinct marker ``"zero"``."""
         if not self._terms:
             return ZERO_DEGREE
-        degrees = {graph.degree() for graph, _ in self._terms.values()}
+        degrees = set(self._degrees())
         return degrees.pop() if len(degrees) == 1 else INHOMOGENEOUS
 
-    # --------------------------------------------------------------- algebra
-
-    def add(self, other: "TautClass") -> "TautClass":
-        if self.ambient != other.ambient:
-            raise SignatureError("cannot add classes with different ambient signatures")
-        terms = [(g, c) for _, g, c in self.items()]
-        terms += [(g, c) for _, g, c in other.items()]
-        return TautClass(self.ambient, terms)
-
-    def scale(self, coeff) -> "TautClass":
-        coeff = Fraction(coeff)
-        return TautClass(self.ambient,
-                         [(g, coeff * c) for _, g, c in self.items()])
-
     def __add__(self, other):
-        if not isinstance(other, TautClass):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.add(other)
 
     def __sub__(self, other):
-        if not isinstance(other, TautClass):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.add(other.scale(-1))
 
@@ -151,6 +126,81 @@ class TautClass:
 
     def __rmul__(self, coeff):
         return self.scale(coeff)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(self._space() + (frozenset(self._terms.items()),))
+
+
+class TautClass(_LinearCombination):
+    """Formal sum of canonical decorated graphs with exact rational coefficients."""
+
+    # _graphs maps every form of _terms (and possibly forms that cancelled)
+    # to its canonical graph; it is shared between classes, never mutated
+    __slots__ = ("ambient", "_graphs")
+
+    def __init__(self, ambient: AmbientSignature, terms=()):
+        graphs: dict[CanonicalForm, DecoratedGraph] = {}
+
+        def forms():
+            for graph, coeff in terms:
+                coeff = Fraction(coeff)
+                if coeff == 0:
+                    continue
+                if isinstance(graph, DualGraph):
+                    graph = graph.decorate()
+                form, canon = canonicalize(graph)   # rejects invalid graphs
+                if form not in graphs:
+                    # the signature is an isomorphism invariant
+                    ambient.check(canon)
+                    graphs[form] = canon
+                yield form, coeff
+
+        self.ambient = ambient
+        self._terms = _summed(forms())
+        self._graphs = graphs
+
+    @classmethod
+    def _of(cls, ambient: AmbientSignature, terms: dict, graphs: dict) -> "TautClass":
+        """Class of already canonical, checked and merged terms."""
+        out = object.__new__(cls)
+        out.ambient, out._terms, out._graphs = ambient, terms, graphs
+        return out
+
+    def _space(self) -> tuple:
+        return (self.ambient,)
+
+    def _degrees(self):
+        return (self._graphs[form].degree() for form in self._terms)
+
+    # --------------------------------------------------------------- queries
+
+    def items(self):
+        """Yield ``(form, graph, coefficient)`` in canonical (deterministic) order."""
+        for form in sorted(self._terms):
+            yield form, self._graphs[form], self._terms[form]
+
+    def coefficient_of(self, graph) -> Fraction:
+        """Stored coefficient of the canonical form of ``graph`` (0 if absent)."""
+        if isinstance(graph, DualGraph):
+            graph = graph.decorate()
+        form, _ = canonicalize(graph)
+        return self._terms.get(form, Fraction(0))
+
+    # --------------------------------------------------------------- algebra
+
+    def add(self, other: "TautClass") -> "TautClass":
+        if self.ambient != other.ambient:
+            raise SignatureError("cannot add classes with different ambient signatures")
+        terms = _summed(self._terms.items(), other._terms.items())
+        return TautClass._of(self.ambient, terms, {**self._graphs, **other._graphs})
+
+    def scale(self, coeff) -> "TautClass":
+        return TautClass._of(self.ambient, _scaled(self._terms, coeff), self._graphs)
 
     def mul_psi(self, marking: int) -> "TautClass":
         """Multiply by the psi class at ``marking``.
@@ -170,16 +220,6 @@ class TautClass:
                          for v, m, p in graph.legs)
             new_terms.append((DecoratedGraph(graph.genera, legs, (), graph.kappa), coeff))
         return TautClass(self.ambient, new_terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TautClass):
-            return NotImplemented
-        return (self.ambient == other.ambient
-                and {f: c for f, (_, c) in self._terms.items()}
-                == {f: c for f, (_, c) in other._terms.items()})
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset((f, c) for f, (_, c) in self._terms.items())))
 
     def __repr__(self):
         return (f"TautClass(genus={self.ambient.genus}, "
@@ -201,7 +241,6 @@ def monomial_class(genus: int, n: int, kappa=(), psi=None) -> TautClass:
     if unknown:
         raise ValueError(f"psi exponents on unknown markings: {sorted(unknown)}")
     graph = single_vertex(genus, [(m, psi.get(m, 0)) for m in range(1, n + 1)], kappa)
-    graph.require_valid()
     ambient = AmbientSignature(genus, frozenset(range(1, n + 1)), 1)
     return TautClass(ambient, [(graph, 1)])
 

@@ -13,9 +13,13 @@ two extra legs labelled i and j:
   edge ends and kappa factors in all possible ways, leg i (psi^(level-1-m)) on
   the first part and leg j (psi^m) on the second, coefficient (1/2)(-1)^(m+1).
 
-Each operation is a stream of raw candidates: validated ``(graph, coeff)``
-pairs, neither canonicalized nor merged.  Unstable outputs never enter the
-stream; building a ``TautClass`` from a stream merges isomorphic candidates.
+Each operation is a stream of raw candidates: ``(graph, coeff)`` pairs,
+neither canonicalized nor merged, that are valid by construction.  Every
+candidate of a valid input has the input's arithmetic genus minus one, so a
+genus-0 input yields no candidate at all; cut and reduce keep every vertex
+stable, and a split whose part would be unstable is skipped before its graph
+is built.  Building a ``TautClass`` from a stream merges isomorphic candidates
+(``canonicalize`` validates each distinct one).
 ``operator_candidates`` chains the three streams of one graph, for callers
 that read only part of the image.  The new labels are the two integers
 following the largest input marking, so a class on markings 1..n acquires
@@ -56,7 +60,7 @@ def _output_ambient(graph: DecoratedGraph, labels) -> AmbientSignature:
     if {i_lab, j_lab} & set(graph.markings()):
         raise SignatureError(f"new leg labels {labels} collide with existing markings")
     # genus-0 inputs land on a genus -1 ambient, which can only hold the
-    # zero class (every candidate output fails the p_a >= 0 invariant)
+    # zero class (the candidate streams of a genus-0 graph are empty)
     pa = arithmetic_genus(graph)
     return AmbientSignature(pa - 1, frozenset(graph.markings()) | set(labels), 2)
 
@@ -73,6 +77,8 @@ def _prepare(graph, level: int, labels):
 
 
 def _cut_candidates(graph: DecoratedGraph, level: int, labels):
+    if arithmetic_genus(graph) < 1:
+        return
     i_lab, j_lab = labels
     on_j = Fraction((-1) ** level, 2)
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
@@ -80,12 +86,12 @@ def _cut_candidates(graph: DecoratedGraph, level: int, labels):
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
             for di, dj, coeff in ((level, 0, Fraction(1, 2)), (0, level, on_j)):
                 legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
-                cand = DecoratedGraph(graph.genera, legs, rest, graph.kappa)
-                if not cand.validate():
-                    yield cand, coeff
+                yield DecoratedGraph(graph.genera, legs, rest, graph.kappa), coeff
 
 
 def _reduce_candidates(graph: DecoratedGraph, level: int, labels):
+    if arithmetic_genus(graph) < 1:
+        return
     i_lab, j_lab = labels
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
@@ -93,51 +99,40 @@ def _reduce_candidates(graph: DecoratedGraph, level: int, labels):
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
         for m in range(level):
             legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
-            cand = DecoratedGraph(genera, legs, graph.edges, graph.kappa)
-            if not cand.validate():
-                yield cand, Fraction((-1) ** (m + 1), 2)
+            yield (DecoratedGraph(genera, legs, graph.edges, graph.kappa),
+                   Fraction((-1) ** (m + 1), 2))
 
 
 def _split_candidates(graph: DecoratedGraph, level: int, labels):
+    if arithmetic_genus(graph) < 1:
+        return
     i_lab, j_lab = labels
-    new_v = graph.n_vertices   # index of the second part
-    for v in range(graph.n_vertices):
-        h = graph.genera[v]
-        leg_slots = [idx for idx, (lv, _, _) in enumerate(graph.legs) if lv == v]
-        end_slots = [(idx, side)
-                     for idx, (e1, _, e2, _) in enumerate(graph.edges)
-                     for side, vv in ((0, e1), (1, e2)) if vv == v]
-        kappas = graph.kappa[v]
-        n_items = len(leg_slots) + len(end_slots) + len(kappas)
+    genera, legs, edges, kappa = graph.genera, graph.legs, graph.edges, graph.kappa
+    new_v = len(genera)   # index of the second part
+    for v, h in enumerate(genera):
+        ends = [(0, i, 0) for i, leg in enumerate(legs) if leg[0] == v]
+        ends += [(1, i, side) for i, edge in enumerate(edges)
+                 for side in (0, 2) if edge[side] == v]
+        valence = len(ends)
         for m in range(level):
             coeff = Fraction((-1) ** (m + 1), 2)
             for g1 in range(h + 1):
-                genera = (graph.genera[:v] + (g1,) + graph.genera[v + 1:]
-                          + (h - g1,))
-                for mask in range(1 << n_items):
-                    legs = [list(t) for t in graph.legs]
-                    edges = [list(t) for t in graph.edges]
-                    for bit, idx in enumerate(leg_slots):
+                parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
+                for mask in range(1 << (valence + len(kappa[v]))):
+                    # each part also carries one new leg, i or j
+                    moved = (mask & ((1 << valence) - 1)).bit_count()
+                    if 2 * g1 - 1 + valence - moved <= 0 or 2 * (h - g1) - 1 + moved <= 0:
+                        continue
+                    rows = (list(map(list, legs)), list(map(list, edges)))
+                    for bit, (kind, i, side) in enumerate(ends):
                         if mask >> bit & 1:
-                            legs[idx][0] = new_v
-                    off = len(leg_slots)
-                    for bit, (idx, side) in enumerate(end_slots):
-                        if mask >> (off + bit) & 1:
-                            edges[idx][0 if side == 0 else 2] = new_v
-                    off += len(end_slots)
-                    keep, move = [], []
-                    for bit, k in enumerate(kappas):
-                        (move if mask >> (off + bit) & 1 else keep).append(k)
-                    kappa = (graph.kappa[:v] + (tuple(keep),) + graph.kappa[v + 1:]
-                             + (tuple(move),))
-                    legs.append([v, i_lab, level - 1 - m])
-                    legs.append([new_v, j_lab, m])
-                    cand = DecoratedGraph(genera,
-                                          tuple(tuple(t) for t in legs),
-                                          tuple(tuple(t) for t in edges),
-                                          kappa)
-                    if not cand.validate():
-                        yield cand, coeff
+                            rows[kind][i][side] = new_v
+                    rows[0].extend(([v, i_lab, level - 1 - m], [new_v, j_lab, m]))
+                    split = ([], [])
+                    for bit, k in enumerate(kappa[v], valence):
+                        split[mask >> bit & 1].append(k)
+                    yield DecoratedGraph(parts, *rows, kappa[:v] + (tuple(split[0]),)
+                                         + kappa[v + 1:] + (tuple(split[1]),)), coeff
 
 
 #: Candidate stream of each operation, in the order the operator sums them.
@@ -184,10 +179,10 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
 def operator_candidates(graph, level: int = 1, labels=None):
     """Yield the raw candidates of cut, reduce and split for one graph.
 
-    Each item is a validated ``(graph, coeff)`` pair, neither canonicalized
-    nor merged; ``TautClass(ambient, operator_candidates(graph))`` on the
-    output ambient is the operator image of ``graph``.  Signature checks are
-    left to the consumer.
+    Each item is a ``(graph, coeff)`` pair, valid by construction, neither
+    canonicalized nor merged; ``TautClass(ambient, operator_candidates(graph))``
+    on the output ambient is the operator image of ``graph``.  Signature checks
+    are left to the consumer.
     """
     graph, labels, _ = _prepare(graph, level, labels)
     for stream in _PARTS.values():

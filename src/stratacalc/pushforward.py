@@ -18,11 +18,15 @@ immediately converted to the scalar 2g - 2 + n of the target space.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
-from .classes import INHOMOGENEOUS, ZERO_DEGREE, TautClass, monomial_class
+from .classes import AmbientSignature, TautClass, _LinearCombination, _scaled, _summed
 from .errors import SignatureError
+from .graphs import single_vertex
 
 __all__ = [
     "InteriorMonomial",
@@ -67,6 +71,14 @@ class InteriorMonomial:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "psi", psi)
 
+    @classmethod
+    def _of(cls, kappa: tuple[int, ...], psi: tuple[tuple[int, int], ...]):
+        """Monomial from data already in the form ``__post_init__`` gives."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "kappa", kappa)
+        object.__setattr__(mono, "psi", psi)
+        return mono
+
     @property
     def degree(self) -> int:
         return sum(self.kappa) + sum(e for _, e in self.psi)
@@ -84,27 +96,40 @@ class InteriorMonomial:
         return "*".join(factors) if factors else "1"
 
 
-class InteriorClass:
+class InteriorClass(_LinearCombination):
     """Exact rational combination of interior monomials on a (g, n) ambient."""
 
-    __slots__ = ("g", "n", "_terms")
+    __slots__ = ("g", "n")
 
     def __init__(self, g: int, n: int, terms=()):
         if 2 * g - 2 + n <= 0:
             raise SignatureError(f"unstable interior ambient ({g},{n})")
-        merged: dict[InteriorMonomial, Fraction] = {}
-        for mono, coeff in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(m > n for m, _ in mono.psi):
-                raise SignatureError(
-                    f"monomial {mono} uses markings beyond 1..{n}")
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms",
-                           {m: c for m, c in merged.items() if c != 0})
+
+        def checked():
+            for mono, coeff in terms:
+                coeff = Fraction(coeff)
+                if coeff == 0:
+                    continue
+                if any(m > n for m, _ in mono.psi):
+                    raise SignatureError(
+                        f"monomial {mono} uses markings beyond 1..{n}")
+                yield mono, coeff
+
+        self.g, self.n = g, n
+        self._terms = _summed(checked())
+
+    @classmethod
+    def _of(cls, g: int, n: int, terms: dict) -> "InteriorClass":
+        """Class of already valid and merged terms on a stable ambient."""
+        out = object.__new__(cls)
+        out.g, out.n, out._terms = g, n, terms
+        return out
+
+    def _space(self) -> tuple:
+        return (self.g, self.n)
+
+    def _degrees(self):
+        return (mono.degree for mono in self._terms)
 
     def items(self):
         for mono in sorted(self._terms):
@@ -113,67 +138,45 @@ class InteriorClass:
     def coefficient_of(self, mono: InteriorMonomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def degree(self):
-        if not self._terms:
-            return ZERO_DEGREE
-        degrees = {m.degree for m in self._terms}
-        return degrees.pop() if len(degrees) == 1 else INHOMOGENEOUS
-
     def add(self, other: "InteriorClass") -> "InteriorClass":
         if (self.g, self.n) != (other.g, other.n):
             raise SignatureError("cannot add interior classes on different ambients")
-        return InteriorClass(self.g, self.n,
-                             list(self.items()) + list(other.items()))
+        return InteriorClass._of(self.g, self.n,
+                                 _summed(self._terms.items(), other._terms.items()))
 
     def scale(self, coeff) -> "InteriorClass":
-        coeff = Fraction(coeff)
-        return InteriorClass(self.g, self.n,
-                             [(m, coeff * c) for m, c in self.items()])
-
-    def __add__(self, other):
-        if not isinstance(other, InteriorClass):
-            return NotImplemented
-        return self.add(other)
-
-    def __sub__(self, other):
-        if not isinstance(other, InteriorClass):
-            return NotImplemented
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
+        return InteriorClass._of(self.g, self.n, _scaled(self._terms, coeff))
 
     def mul_psi(self, marking: int) -> "InteriorClass":
         if not 1 <= marking <= self.n:
             raise SignatureError(f"marking {marking} is not in 1..{self.n}")
-        out = []
-        for mono, coeff in self.items():
+        # distinct monomials stay distinct, so nothing merges
+        terms = {}
+        for mono, coeff in self._terms.items():
             psi = mono.psi_dict()
             psi[marking] = psi.get(marking, 0) + 1
-            out.append((InteriorMonomial(mono.kappa, psi), coeff))
-        return InteriorClass(self.g, self.n, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, InteriorClass):
-            return NotImplemented
-        return (self.g, self.n) == (other.g, other.n) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.g, self.n, frozenset(self._terms.items())))
+            terms[InteriorMonomial._of(mono.kappa, tuple(sorted(psi.items())))] = coeff
+        return InteriorClass._of(self.g, self.n, terms)
 
     def __repr__(self):
         body = " + ".join(f"({c})*{m}" for m, c in self.items()) or "0"
         return f"InteriorClass(g={self.g}, n={self.n}: {body})"
+
+
+def _kappa_splits(x: InteriorClass) -> dict:
+    """Map each kappa part of ``x`` to its splits ``(kept, moved, count, ways)``:
+    for each sub-multiset taken out, the kept factors (sorted), the index sum and
+    number of the factors taken, and the number of index subsets taking them."""
+    out = {}
+    for kappa in {mono.kappa for mono in x._terms}:
+        distinct = sorted(Counter(kappa).items())
+        out[kappa] = [
+            (tuple(k for (k, mult), t in zip(distinct, picks) for _ in range(mult - t)),
+             sum(k * t for (k, _), t in zip(distinct, picks)),
+             sum(picks),
+             prod(comb(mult, t) for (_, mult), t in zip(distinct, picks)))
+            for picks in itertools.product(*(range(mult + 1) for _, mult in distinct))]
+    return out
 
 
 def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
@@ -188,22 +191,22 @@ def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
     if 2 * g - 2 + (n - 1) <= 0:
         raise SignatureError(f"target ambient ({g},{n - 1}) is unstable")
     kappa0 = 2 * g - 2 + (n - 1)
-    out = []
-    for mono, coeff in x.items():
-        psi = mono.psi_dict()
-        base = psi.pop(p, 0)
-        passthrough = {(m - 1 if m > p else m): e for m, e in psi.items()}
-        ks = mono.kappa
-        for mask in range(1 << len(ks)):
-            kept = tuple(ks[i] for i in range(len(ks)) if not mask >> i & 1)
-            b = base + sum(ks[i] for i in range(len(ks)) if mask >> i & 1)
-            if b == 0:
-                continue
-            if b == 1:
-                out.append((InteriorMonomial(kept, passthrough), coeff * kappa0))
-            else:
-                out.append((InteriorMonomial(kept + (b - 1,), passthrough), coeff))
-    return InteriorClass(g, n - 1, out)
+    splits = _kappa_splits(x)
+
+    def terms():
+        for mono, coeff in x._terms.items():
+            base = dict(mono.psi).get(p, 0)
+            passthrough = tuple((m - 1 if m > p else m, e)
+                                for m, e in mono.psi if m != p)
+            for kept, moved, _, ways in splits[mono.kappa]:
+                b = base + moved
+                if b == 1:
+                    yield InteriorMonomial._of(kept, passthrough), coeff * (ways * kappa0)
+                elif b:
+                    kappa = tuple(sorted(kept + (b - 1,)))
+                    yield InteriorMonomial._of(kappa, passthrough), coeff * ways
+
+    return InteriorClass._of(g, n - 1, _summed(terms()))
 
 
 def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
@@ -217,19 +220,18 @@ def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
     g, n = y.g, y.n + 1
     if not 1 <= p <= n:
         raise SignatureError(f"marking {p} is not in 1..{n}")
-    out = []
-    for mono, coeff in y.items():
-        shifted = {(m + 1 if m >= p else m): e for m, e in mono.psi}
-        ks = mono.kappa
-        for mask in range(1 << len(ks)):
-            kept = tuple(ks[i] for i in range(len(ks)) if not mask >> i & 1)
-            moved = [ks[i] for i in range(len(ks)) if mask >> i & 1]
-            psi = dict(shifted)
-            if moved:
-                psi[p] = psi.get(p, 0) + sum(moved)
-            sign = -1 if len(moved) % 2 else 1
-            out.append((InteriorMonomial(kept, psi), coeff * sign))
-    return InteriorClass(g, n, out)
+    splits = _kappa_splits(y)
+
+    def terms():
+        for mono, coeff in y._terms.items():
+            below = tuple((m, e) for m, e in mono.psi if m < p)
+            above = tuple((m + 1, e) for m, e in mono.psi if m >= p)
+            for kept, moved, count, ways in splits[mono.kappa]:
+                psi = below + ((p, moved),) + above if moved else below + above
+                sign = -1 if count % 2 else 1
+                yield InteriorMonomial._of(kept, psi), coeff * (sign * ways)
+
+    return InteriorClass._of(g, n, _summed(terms()))
 
 
 # ------------------------------------------------------------------ constants
@@ -361,10 +363,10 @@ def taut_to_interior(x: TautClass) -> InteriorClass:
 
 def interior_to_taut(x: InteriorClass) -> TautClass:
     """Present an interior class by smooth single-vertex decorated graphs."""
-    out = None
+    marks = range(1, x.n + 1)
+    terms = []
     for mono, coeff in x.items():
-        term = coeff * monomial_class(x.g, x.n, mono.kappa, mono.psi_dict())
-        out = term if out is None else out + term
-    if out is None:
-        return monomial_class(x.g, x.n).scale(0)
-    return out
+        psi = mono.psi_dict()
+        graph = single_vertex(x.g, [(m, psi.get(m, 0)) for m in marks], mono.kappa)
+        terms.append((graph, coeff))
+    return TautClass(AmbientSignature(x.g, frozenset(marks)), terms)

@@ -7,13 +7,18 @@ one-edge degeneration moves.  ``enumerate_bruteforce`` keeps the library's
 former stable-graph enumeration, which builds every genus composition, leg
 placement and edge multiset.  ``full_image_extraction`` keeps the verifier's
 former witness extraction, which reads every coefficient from the full
-operator image of every boundary graph.
+operator image of every boundary graph.  The ``*_candidates_reference``
+streams keep the operator's former candidate generators, which build every
+candidate and keep those that ``validate()`` accepts.  The ``*_reference``
+interior maps keep the former forgetful pushforward and pullback, which expand
+every index subset of the kappa factors through the public constructors.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 from stratacalc.classes import AmbientSignature, TautClass, monomial_class
 from stratacalc.graphs import (
@@ -26,6 +31,7 @@ from stratacalc.graphs import (
     single_vertex,
 )
 from stratacalc.invariance import invariance_operator
+from stratacalc.pushforward import InteriorClass, InteriorMonomial
 from stratacalc.verifier import (
     boundary_generators,
     generator_monomials,
@@ -272,6 +278,116 @@ def full_image_extraction(g: int, n: int, k: int, witness_overrides=None,
                 f"witness {canonicalize(w)[0].hex()[:16]} is not edge-free with "
                 f"psi^0 on the new legs")
     return rows, tuple(structural)
+
+
+# ------------------------------------------------- operator candidate streams
+
+def cut_candidates_reference(graph: DecoratedGraph, level: int, labels):
+    i_lab, j_lab = labels
+    on_j = Fraction((-1) ** level, 2)
+    for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
+        rest = graph.edges[:idx] + graph.edges[idx + 1:]
+        for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
+            for di, dj, coeff in ((level, 0, Fraction(1, 2)), (0, level, on_j)):
+                legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
+                cand = DecoratedGraph(graph.genera, legs, rest, graph.kappa)
+                if not cand.validate():
+                    yield cand, coeff
+
+
+def reduce_candidates_reference(graph: DecoratedGraph, level: int, labels):
+    i_lab, j_lab = labels
+    for v in range(graph.n_vertices):
+        if graph.genera[v] < 1:
+            continue
+        genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
+        for m in range(level):
+            legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
+            cand = DecoratedGraph(genera, legs, graph.edges, graph.kappa)
+            if not cand.validate():
+                yield cand, Fraction((-1) ** (m + 1), 2)
+
+
+def split_candidates_reference(graph: DecoratedGraph, level: int, labels):
+    i_lab, j_lab = labels
+    new_v = graph.n_vertices
+    for v in range(graph.n_vertices):
+        h = graph.genera[v]
+        leg_slots = [idx for idx, (lv, _, _) in enumerate(graph.legs) if lv == v]
+        end_slots = [(idx, side)
+                     for idx, (e1, _, e2, _) in enumerate(graph.edges)
+                     for side, vv in ((0, e1), (1, e2)) if vv == v]
+        kappas = graph.kappa[v]
+        n_items = len(leg_slots) + len(end_slots) + len(kappas)
+        for m in range(level):
+            coeff = Fraction((-1) ** (m + 1), 2)
+            for g1 in range(h + 1):
+                genera = (graph.genera[:v] + (g1,) + graph.genera[v + 1:]
+                          + (h - g1,))
+                for mask in range(1 << n_items):
+                    legs = [list(t) for t in graph.legs]
+                    edges = [list(t) for t in graph.edges]
+                    for bit, idx in enumerate(leg_slots):
+                        if mask >> bit & 1:
+                            legs[idx][0] = new_v
+                    off = len(leg_slots)
+                    for bit, (idx, side) in enumerate(end_slots):
+                        if mask >> (off + bit) & 1:
+                            edges[idx][0 if side == 0 else 2] = new_v
+                    off += len(end_slots)
+                    keep, move = [], []
+                    for bit, k in enumerate(kappas):
+                        (move if mask >> (off + bit) & 1 else keep).append(k)
+                    kappa = (graph.kappa[:v] + (tuple(keep),) + graph.kappa[v + 1:]
+                             + (tuple(move),))
+                    legs.append([v, i_lab, level - 1 - m])
+                    legs.append([new_v, j_lab, m])
+                    cand = DecoratedGraph(genera,
+                                          tuple(tuple(t) for t in legs),
+                                          tuple(tuple(t) for t in edges),
+                                          kappa)
+                    if not cand.validate():
+                        yield cand, coeff
+
+
+# ------------------------------------------------------- interior expansions
+
+def forget_pushforward_reference(x: InteriorClass, p: int) -> InteriorClass:
+    g, n = x.g, x.n
+    kappa0 = 2 * g - 2 + (n - 1)
+    out = []
+    for mono, coeff in x.items():
+        psi = mono.psi_dict()
+        base = psi.pop(p, 0)
+        passthrough = {(m - 1 if m > p else m): e for m, e in psi.items()}
+        ks = mono.kappa
+        for mask in range(1 << len(ks)):
+            kept = tuple(ks[i] for i in range(len(ks)) if not mask >> i & 1)
+            b = base + sum(ks[i] for i in range(len(ks)) if mask >> i & 1)
+            if b == 0:
+                continue
+            if b == 1:
+                out.append((InteriorMonomial(kept, passthrough), coeff * kappa0))
+            else:
+                out.append((InteriorMonomial(kept + (b - 1,), passthrough), coeff))
+    return InteriorClass(g, n - 1, out)
+
+
+def pullback_lift_reference(y: InteriorClass, p: int) -> InteriorClass:
+    g, n = y.g, y.n + 1
+    out = []
+    for mono, coeff in y.items():
+        shifted = {(m + 1 if m >= p else m): e for m, e in mono.psi}
+        ks = mono.kappa
+        for mask in range(1 << len(ks)):
+            kept = tuple(ks[i] for i in range(len(ks)) if not mask >> i & 1)
+            moved = [ks[i] for i in range(len(ks)) if mask >> i & 1]
+            psi = dict(shifted)
+            if moved:
+                psi[p] = psi.get(p, 0) + sum(moved)
+            sign = -1 if len(moved) % 2 else 1
+            out.append((InteriorMonomial(kept, psi), coeff * sign))
+    return InteriorClass(g, n, out)
 
 
 # ------------------------------------------------------------- random graphs

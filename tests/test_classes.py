@@ -13,6 +13,7 @@ from stratacalc import (
     InvalidGraphError,
     SignatureError,
     TautClass,
+    invariance_operator,
     monomial_class,
     single_vertex,
     zero_class,
@@ -112,6 +113,52 @@ def test_algebra_properties_random():
             assert (c * x).coefficient_of(g) == c * x.coefficient_of(g)
             assert (x + y).coefficient_of(g) == \
                 x.coefficient_of(g) + y.coefficient_of(g)
+
+
+def _rebuilt(ambient, *signed):
+    """``sum k * x`` over ``(k, x)`` in ``signed``, rebuilt term by term through
+    the public constructor."""
+    return TautClass(ambient, [(graph, k * c) for k, x in signed
+                               for _, graph, c in x.items()])
+
+
+def _assert_same_class(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for _, _, c in got.items())
+    assert (len(got), got.degree(), repr(got)) == (len(want), want.degree(), repr(want))
+
+
+def test_term_algebra_matches_public_rebuild():
+    """add, scale, sub, neg and rmul merge stored terms; the result must equal
+    a rebuild that canonicalizes and checks every term again."""
+    rng = random.Random(2718)
+    gens = [monomial_class(6, 2, kappa, psi)
+            for kappa, psi in (((1,), {}), ((), {1: 1}), ((), {2: 1}), ((2,), {}))]
+    images = [invariance_operator(m) for m in gens]
+    amb = images[0].ambient
+
+    def draw():
+        x = zero_class(amb)
+        for image in rng.sample(images, rng.randint(1, len(images))):
+            x = x + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * image
+        return x
+
+    for _ in range(6):
+        x, y = draw(), draw()
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        _assert_same_class(x + y, _rebuilt(amb, (1, x), (1, y)))
+        _assert_same_class(x - y, _rebuilt(amb, (1, x), (-1, y)))
+        _assert_same_class(-x, _rebuilt(amb, (-1, x)))
+        _assert_same_class(3 * x, _rebuilt(amb, (3, x)))
+        _assert_same_class(c * x, _rebuilt(amb, (c, x)))
+        _assert_same_class(0 * x, zero_class(amb))
+        _assert_same_class(x - x, zero_class(amb))
+        _assert_same_class((x + y) - y, x)
+    other = invariance_operator(monomial_class(6, 1, kappa=(1,)))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(SignatureError):
+            op(x, other)
 
 
 def test_coefficient_of_absent_graph():

@@ -14,6 +14,7 @@ from stratacalc import (
     component_count,
     cut_edges,
     disjoint_union,
+    enumerate_stable_graphs,
     fundamental_class,
     invariance_operator,
     invariance_parts,
@@ -23,8 +24,19 @@ from stratacalc import (
     split_vertices,
     validate,
 )
+from stratacalc.invariance import (
+    _cut_candidates,
+    _fresh_labels,
+    _reduce_candidates,
+    _split_candidates,
+)
 
-from oracles import random_decorated_graph
+from oracles import (
+    cut_candidates_reference,
+    random_decorated_graph,
+    reduce_candidates_reference,
+    split_candidates_reference,
+)
 
 
 def cls(ambient, *terms):
@@ -272,3 +284,62 @@ def test_separation_property():
                 assert not plain_disconnected(term), name
         total = parts["cut"] + parts["reduce"] + parts["split"]
         assert total == invariance_operator(x)
+
+
+# ------------------------------------------------- candidates by construction
+
+def _decorated(graph):
+    """``graph`` with kappa_1 added on vertex 0, psi on its first leg and psi^2
+    on one end of its first edge."""
+    legs, edges = list(graph.legs), list(graph.edges)
+    if legs:
+        v, m, p = legs[0]
+        legs[0] = (v, m, p + 1)
+    if edges:
+        v1, p1, v2, p2 = edges[0]
+        edges[0] = (v1, p1, v2, p2 + 2)
+    return DecoratedGraph(graph.genera, legs, edges,
+                          ((1,) + graph.kappa[0],) + graph.kappa[1:])
+
+
+def _stream_inputs():
+    """``(graph, level, labels)``: every stable graph with g, n <= 3 and up to 3
+    edges at level 1 with fresh labels and at level 2 with explicit ones, its
+    decorated copy at level 1, genus-0 graphs with edges, and random graphs,
+    disconnected ones included."""
+    for g in range(4):
+        for n in range(4):
+            fresh = _fresh_labels(range(1, n + 1))
+            for dual in enumerate_stable_graphs(g, n, 3, min_edges=0):
+                graph = dual.decorate()
+                yield graph, 1, fresh
+                yield graph, 2, (fresh[1] + 3, fresh[0])
+                yield _decorated(graph), 1, fresh
+    # arithmetic genus 0, with edges, connected or not: every stream is empty
+    for dual in enumerate_stable_graphs(0, 5, 2, min_edges=0):
+        yield dual.decorate(), 1, (6, 7)
+    tree = DecoratedGraph((0, 0), ((0, 2, 0), (0, 3, 0), (1, 4, 0), (1, 5, 0)),
+                          ((0, 0, 1, 0),))
+    yield disjoint_union(single_vertex(1, [1], (1,)), tree), 2, (6, 7)
+    rng = random.Random(20261018)
+    for _ in range(60):
+        graph = random_decorated_graph(rng, genus_range=(0, 3), connected=False)
+        yield graph, 2, _fresh_labels(graph.markings())
+
+
+def test_candidate_streams_match_validated_reference():
+    """The library streams skip unstable splits and genus-0 inputs without
+    validating; the reference builds every candidate and keeps the valid
+    ones.  Both must agree in order, graph and coefficient."""
+    streams = ((_cut_candidates, cut_candidates_reference),
+               (_reduce_candidates, reduce_candidates_reference),
+               (_split_candidates, split_candidates_reference))
+    total = 0
+    for graph, level, labels in _stream_inputs():
+        for fast, reference in streams:
+            got = list(fast(graph, level, labels))
+            assert got == list(reference(graph, level, labels)), (graph, level, labels)
+            if arithmetic_genus(graph) == 0:
+                assert got == []
+            total += len(got)
+    assert total > 100_000

@@ -12,6 +12,7 @@ from stratacalc import (
     double_factorial,
     faber_constant,
     forget_pushforward,
+    generator_monomials,
     interior_to_taut,
     kappa_nonvanishing_report,
     monomial_class,
@@ -20,7 +21,11 @@ from stratacalc import (
     verify_kappa_identity,
 )
 
-from oracles import double_factorial_recursive
+from oracles import (
+    double_factorial_recursive,
+    forget_pushforward_reference,
+    pullback_lift_reference,
+)
 
 
 def ic(g, n, *terms):
@@ -166,6 +171,80 @@ def test_pushforward_unstable_target():
 
 # ---------------------------------------------------------------- constants
 
+#: (g, n, k) of the generator grids the expansions are checked on; (9,3,3)
+#: has repeated kappa factors (kappa_1^3) and psi on every marking.
+_GRIDS = ((3, 2, 1), (6, 3, 2), (9, 3, 3), (9, 2, 3), (7, 4, 2))
+
+
+def _grid_sample(rng, g, n, k):
+    return InteriorClass(g, n, [(mono, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                                for mono in generator_monomials(g, n, k)])
+
+
+def _times_psi(mono, p):
+    psi = mono.psi_dict()
+    psi[p] = psi.get(p, 0) + 1
+    return InteriorMonomial(mono.kappa, psi)
+
+
+def _assert_normal(x):
+    for mono, coeff in x.items():
+        assert InteriorMonomial(mono.kappa, mono.psi) == mono
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@pytest.mark.parametrize("g,n,k", _GRIDS)
+def test_expansions_match_reference(g, n, k):
+    """forget_pushforward and pullback_lift build monomials from normal data
+    and merge equal kappa subsets by multiplicity; the references expand every
+    index subset through the public constructors."""
+    rng = random.Random(f"expand/{g}/{n}/{k}")
+    x = _grid_sample(rng, g, n, k)
+    for mono in [None, *generator_monomials(g, n, k)]:
+        y = x if mono is None else InteriorClass(g, n, [(mono, 1)])
+        for p in range(1, n + 2):
+            lifted = pullback_lift(y, p)
+            assert lifted == pullback_lift_reference(y, p)
+            _assert_normal(lifted)
+            if p <= n and 2 * g - 3 + n > 0:
+                pushed = forget_pushforward(y, p)
+                assert pushed == forget_pushforward_reference(y, p)
+                _assert_normal(pushed)
+            psi_p = lifted.mul_psi(p)
+            raised = [(_times_psi(m, p), c) for m, c in lifted.items()]
+            assert psi_p == InteriorClass(g, n + 1, raised)
+            _assert_normal(psi_p)
+
+
+def _rebuilt(g, n, *signed):
+    return InteriorClass(g, n, [(mono, k * c) for k, x in signed
+                                for mono, c in x.items()])
+
+
+def test_interior_algebra_matches_public_rebuild():
+    rng = random.Random(1618)
+    g, n = 6, 3
+    for _ in range(5):
+        x = _grid_sample(rng, g, n, 2)
+        y = forget_pushforward(pullback_lift(x, 2).mul_psi(2), 1).mul_psi(3)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for got, want in ((x + y, _rebuilt(g, n, (1, x), (1, y))),
+                          (x - y, _rebuilt(g, n, (1, x), (-1, y))),
+                          (-x, _rebuilt(g, n, (-1, x))),
+                          (4 * x, _rebuilt(g, n, (4, x))),
+                          (c * y, _rebuilt(g, n, (c, y))),
+                          (0 * x, InteriorClass(g, n)),
+                          (x - x, InteriorClass(g, n))):
+            assert got == want and hash(got) == hash(want)
+            assert list(got.items()) == list(want.items())
+            assert (got.degree(), repr(got)) == (want.degree(), repr(want))
+            _assert_normal(got)
+    with pytest.raises(SignatureError):
+        x + InteriorClass(g, n + 1)
+    with pytest.raises(SignatureError):
+        x - InteriorClass(g + 1, n)
+
+
 def test_double_factorial_matches_recursive_oracle():
     for n in range(-1, 30, 2):
         assert double_factorial(n) == double_factorial_recursive(n)
@@ -233,6 +312,19 @@ def test_adapters_roundtrip():
         g, n = rng.randint(3, 6), rng.randint(0, 3)
         x = random_interior(rng, g, n)
         assert taut_to_interior(interior_to_taut(x)) == x
+
+
+def test_interior_to_taut_builds_one_class():
+    rng = random.Random(34)
+    for _ in range(5):
+        g, n = rng.randint(3, 6), rng.randint(0, 3)
+        x = random_interior(rng, g, n)
+        summed = monomial_class(g, n).scale(0)
+        for mono, coeff in x.items():
+            summed = summed + coeff * monomial_class(g, n, mono.kappa, mono.psi_dict())
+        assert interior_to_taut(x) == summed
+        zero = interior_to_taut(InteriorClass(g, n))
+        assert zero.is_zero and zero.ambient == monomial_class(g, n).ambient
 
 
 def test_adapter_rejects_boundary():
