@@ -115,11 +115,14 @@ def _cmd_faber(args) -> int:
 def _load_witness_table(path):
     table = {}
     obj = load_file(path)
-    for entry in obj.get("overrides", ()):
-        mono = InteriorMonomial(
-            tuple(entry["monomial"].get("kappa", ())),
-            {int(m): int(e) for m, e in entry["monomial"].get("psi", {}).items()})
-        table[mono] = graph_from_obj(entry["graph"])
+    try:
+        for entry in obj.get("overrides", ()):
+            mono = InteriorMonomial(
+                tuple(entry["monomial"].get("kappa", ())),
+                {int(m): int(e) for m, e in entry["monomial"].get("psi", {}).items()})
+            table[mono] = graph_from_obj(entry["graph"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidGraphError(f"malformed witness table: {exc}") from None
     return table
 
 

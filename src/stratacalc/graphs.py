@@ -20,7 +20,8 @@ All values are immutable and hashable and every function is pure, so the
 module is safe to use from concurrent contexts.  Canonical forms are computed
 by invariant-based partition refinement followed by exhaustive search over the
 residual vertex orderings; graphs here are tiny, so correctness beats
-sophistication.
+sophistication.  The same search yields the automorphism group order: the
+orderings that tie for the least encoding are the vertex automorphisms.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from math import factorial, prod
 
 from .errors import InvalidGraphError, SizeGuardError
 
-#: Hard cap on vertex orderings explored during canonicalization.
+#: Hard cap on vertex orderings explored by the canonical-form search, which
+#: also serves automorphism_count.
 _ORDERING_GUARD = 1_000_000
-
-#: automorphism_count is brute force; keep it honest.
-_AUT_MAX_VERTICES = 8
 
 _DEFAULT_MAX_GRAPHS = 100_000
 
@@ -360,20 +359,26 @@ def _encode_under(g: DecoratedGraph, order):
 
 
 @lru_cache(maxsize=1 << 18)
-def _canonicalize_cached(g: DecoratedGraph):
+def _canonical_search(g: DecoratedGraph):
+    """Canonical form, canonical representative, and the number of candidate
+    orders that tie for the least encoding.  Two tied orders differ by a
+    vertex permutation preserving genus, kappa, legs and the edge multiset,
+    and every such permutation keeps the refinement colors, so the tie count
+    is the number of these permutations."""
     g.require_valid()
     best_key = None
-    best_order = None
+    ties = 0
     for order in _candidate_orders(g):
         key = _encode_under(g, order)
-        if best_key is None or key < best_key:
-            best_key, best_order = key, order
-    new_index = [0] * g.n_vertices
-    for new, old in enumerate(best_order):
-        new_index[old] = new
-    canon = g.relabeled(new_index)
+        if key == best_key:
+            ties += 1
+        elif best_key is None or key < best_key:
+            best_key, ties = key, 1
+    verts, legs, edges = best_key
+    genera, kappa = zip(*verts)
+    canon = DecoratedGraph(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
     encoding = json.dumps(best_key, separators=(",", ":")).encode("ascii")
-    return CanonicalForm(encoding), canon
+    return CanonicalForm(encoding), canon, ties
 
 
 def canonicalize(g) -> tuple[CanonicalForm, DecoratedGraph]:
@@ -383,57 +388,25 @@ def canonicalize(g) -> tuple[CanonicalForm, DecoratedGraph]:
     lexicographically least encoding among all orderings compatible with the
     refinement classes.
     """
-    return _canonicalize_cached(_as_decorated(g))
+    return _canonical_search(_as_decorated(g))[:2]
 
 
 def canonical_form(g) -> CanonicalForm:
     return canonicalize(g)[0]
 
 
-# --------------------------------------------------------------- automorphisms
-
-def _edge_descriptor(v1, p1, v2, p2):
-    a, b = (v1, p1), (v2, p2)
-    return (a, b) if a <= b else (b, a)
-
-
 def automorphism_count(g) -> int:
     """Order of the decoration- and marking-preserving automorphism group.
 
-    Brute force over vertex permutations; for each one the compatible
-    half-edge matchings are counted exactly (parallel edges permute freely,
-    a self-loop with equal psi on both ends may flip).
+    The vertex permutations are the tied orders of the canonical-form search;
+    each one lifts to the half-edges in prod(mult!) * 2^loops ways: parallel
+    edges with equal psi data permute freely, and a self-loop with equal psi
+    on both ends may flip.
     """
-    g = _as_decorated(g)
-    g.require_valid()
-    V = g.n_vertices
-    if V > _AUT_MAX_VERTICES:
-        raise SizeGuardError(f"automorphism_count limited to {_AUT_MAX_VERTICES} vertices")
-
-    legs_at = defaultdict(list)
-    for v, m, p in g.legs:
-        legs_at[v].append((m, p))
-    pin = [(g.genera[v], g.kappa[v], tuple(sorted(legs_at[v]))) for v in range(V)]
-    cells = defaultdict(list)
-    for v in range(V):
-        cells[pin[v]].append(v)
-
-    target = Counter(_edge_descriptor(*e) for e in g.edges)
-    sym = sum(mult for desc, mult in target.items() if desc[0] == desc[1])
-    matchings = prod(factorial(mult) for mult in target.values()) * 2 ** sym
-
-    count = 0
-    cell_list = [cells[k] for k in sorted(cells)]
-    for combo in itertools.product(*(itertools.permutations(c) for c in cell_list)):
-        perm = [0] * V
-        for cell, image in zip(cell_list, combo):
-            for src, dst in zip(cell, image):
-                perm[src] = dst
-        mapped = Counter(_edge_descriptor(perm[v1], p1, perm[v2], p2)
-                         for v1, p1, v2, p2 in g.edges)
-        if mapped == target:
-            count += 1
-    return count * matchings
+    _, canon, ties = _canonical_search(_as_decorated(g))
+    edges = Counter(canon.edges)
+    loops = sum(mult for (v1, p1, v2, p2), mult in edges.items() if (v1, p1) == (v2, p2))
+    return ties * prod(factorial(mult) for mult in edges.values()) * 2 ** loops
 
 
 # ----------------------------------------------------------------- enumeration

@@ -132,7 +132,7 @@ def class_from_obj(obj) -> TautClass:
                                    int(amb.get("max_components", 1)))
         terms = [(graph_from_obj(t["graph"]), parse_coeff(t["coeff"]))
                  for t in obj.get("terms", ())]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed class object: {exc}") from None
     return TautClass(ambient, terms)
 
@@ -158,7 +158,7 @@ def interior_from_obj(obj) -> InteriorClass:
                 {int(m): int(e) for m, e in t.get("psi", {}).items()})
             terms.append((mono, parse_coeff(t["coeff"])))
         return InteriorClass(int(obj["g"]), int(obj["n"]), terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed interior class object: {exc}") from None
 
 

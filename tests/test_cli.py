@@ -154,6 +154,24 @@ def test_verify_corrupt_witness_table_exits_1(tmp_path):
     assert load_file(report)["passed"] is False
 
 
+@pytest.mark.parametrize("argv, content", [
+    (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"), []),
+    (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"), {"overrides": 5}),
+    (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"),
+     {"overrides": [{"monomial": [1], "graph": {}}]}),
+    (("push", "--forget", 1, "--in"), []),
+    (("push", "--forget", 1, "--in"),
+     {"g": 2, "n": 1, "terms": [{"coeff": "1", "kappa": [1], "psi": [1]}]}),
+    (("r1", "--in"), {"ambient": [], "terms": []}),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    assert run(*argv, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: malformed ") and err.count("\n") == 1
+
+
 def test_verify_out_of_range_exits_2(tmp_path):
     assert run("verify", "--g", 6, "--n", 0, "--k", 3) == 2
 

@@ -1,6 +1,7 @@
 """Graph core: validation, genus bookkeeping, canonical forms, enumeration."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,8 @@ from stratacalc import (
     component_count,
     disjoint_union,
     enumerate_stable_graphs,
+    invariance_operator,
+    monomial_class,
     single_vertex,
     validate,
 )
@@ -188,15 +191,40 @@ def test_automorphism_genus2_deepest_strata():
 
 def test_automorphism_matches_halfedge_oracle():
     rng = random.Random(99)
-    for _ in range(40):
-        g = random_decorated_graph(rng, max_vertices=3, max_extra_edges=2)
+    graphs = [random_decorated_graph(rng, max_vertices=5, max_extra_edges=3,
+                                     genus_range=(0, 8), connected=i % 2 == 0)
+              for i in range(400)]
+    assert any(g.n_vertices == 5 for g in graphs)
+    assert any(component_count(g) > 1 for g in graphs)
+    image = [g for _, g, _ in
+             invariance_operator(monomial_class(3, 2, kappa=(1,), psi={1: 1})).items()]
+    assert any(component_count(g) == 2 for g in image)
+    graphs += image
+    graphs += [G.decorate() for G in
+               enumerate_stable_graphs(2, 0, 3) + enumerate_stable_graphs(0, 5, 2)]
+    for g in graphs:
         assert automorphism_count(g) == automorphisms_bruteforce(g)
+    with pytest.raises(InvalidGraphError):
+        automorphism_count(DecoratedGraph((0,), ((0, 1, 0),), ()))
+
+
+def star(leaves):
+    """A genus-0 centre joined by one edge each to ``leaves`` genus-1 vertices."""
+    return DecoratedGraph((0,) + (1,) * leaves, (),
+                          tuple((0, 0, v, 0) for v in range(1, leaves + 1)))
+
+
+def test_automorphism_star_of_nine_vertices():
+    # 9 vertices and 8! leaf orders, inside the search's guard of 10^6 orders
+    assert automorphism_count(star(8)) == factorial(8)
 
 
 def test_automorphism_size_guard():
-    g = DecoratedGraph((2,) * 9, (), ())
+    # 10! leaf orders exceed the search's guard of 10^6: both callers fail closed
     with pytest.raises(SizeGuardError):
-        automorphism_count(g)
+        automorphism_count(star(10))
+    with pytest.raises(SizeGuardError):
+        canonicalize(star(10))
 
 
 # ----------------------------------------------------------------- enumeration
