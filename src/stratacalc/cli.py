@@ -15,7 +15,7 @@ import argparse
 from .errors import InvalidGraphError, SignatureError, SizeGuardError
 from .graphs import enumerate_stable_graphs
 from .invariance import invariance_operator
-from .pushforward import InteriorMonomial, faber_constant, forget_pushforward
+from .pushforward import faber_constant, forget_pushforward
 from .serialize import (
     class_from_obj,
     class_to_obj,
@@ -26,6 +26,7 @@ from .serialize import (
     interior_from_obj,
     interior_to_obj,
     load_file,
+    monomial_from_obj,
 )
 from .verifier import verify_witness_independence
 
@@ -117,10 +118,7 @@ def _load_witness_table(path):
     obj = load_file(path)
     try:
         for entry in obj.get("overrides", ()):
-            mono = InteriorMonomial(
-                tuple(entry["monomial"].get("kappa", ())),
-                {int(m): int(e) for m, e in entry["monomial"].get("psi", {}).items()})
-            table[mono] = graph_from_obj(entry["graph"])
+            table[monomial_from_obj(entry["monomial"])] = graph_from_obj(entry["graph"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed witness table: {exc}") from None
     return table

@@ -195,17 +195,6 @@ class DecoratedGraph:
             groups[find(v)].add(v)
         return [frozenset(vs) for vs in groups.values()]
 
-    def relabeled(self, new_index) -> "DecoratedGraph":
-        """Apply the vertex relabelling ``old -> new_index[old]``."""
-        order = sorted(range(self.n_vertices), key=lambda old: new_index[old])
-        return DecoratedGraph(
-            tuple(self.genera[old] for old in order),
-            tuple((new_index[v], m, p) for v, m, p in self.legs),
-            tuple((new_index[v1], p1, new_index[v2], p2)
-                  for v1, p1, v2, p2 in self.edges),
-            tuple(self.kappa[old] for old in order),
-        )
-
     # ------------------------------------------------------------- validation
 
     def validate(self) -> list[str]:

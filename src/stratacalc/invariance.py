@@ -21,7 +21,9 @@ stable, and a split whose part would be unstable is skipped before its graph
 is built.  Building a ``TautClass`` from a stream merges isomorphic candidates
 (``canonicalize`` validates each distinct one).
 ``operator_candidates`` chains the three streams of one graph, for callers
-that read only part of the image.  The new labels are the two integers
+that read only part of the image: it can skip every move whose shape (edge
+count, psi on i and j) is not wanted before building it, and check every
+move against an output ambient.  The new labels are the two integers
 following the largest input marking, so a class on markings 1..n acquires
 legs n+1 (= i) and n+2 (= j).
 
@@ -31,11 +33,12 @@ evaluation order because terms merge by canonical form.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .classes import AmbientSignature, TautClass
 from .errors import SignatureError
-from .graphs import DecoratedGraph, DualGraph, arithmetic_genus
+from .graphs import DecoratedGraph, DualGraph, arithmetic_genus, component_count
 
 __all__ = [
     "cut_edges",
@@ -76,35 +79,44 @@ def _prepare(graph, level: int, labels):
     return graph, labels, _output_ambient(graph, labels)
 
 
-def _cut_candidates(graph: DecoratedGraph, level: int, labels):
+def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
     on_j = Fraction((-1) ** level, 2)
+    # a cut keeps the other edges and adds level to the psi of one cut end
+    kept_edges = graph.n_edges - 1
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
             for di, dj, coeff in ((level, 0, Fraction(1, 2)), (0, level, on_j)):
+                if shapes is not None and (kept_edges, ip + di, jp + dj) not in shapes:
+                    continue
                 legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
                 yield DecoratedGraph(graph.genera, legs, rest, graph.kappa), coeff
 
 
-def _reduce_candidates(graph: DecoratedGraph, level: int, labels):
+def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
+    # a reduce or split keeps every edge: its shape is (#edges, level-1-m, m)
+    levels = [m for m in range(level)
+              if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-        for m in range(level):
+        for m in levels:
             legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
             yield (DecoratedGraph(genera, legs, graph.edges, graph.kappa),
                    Fraction((-1) ** (m + 1), 2))
 
 
-def _split_candidates(graph: DecoratedGraph, level: int, labels):
-    if arithmetic_genus(graph) < 1:
+def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
+    levels = [m for m in range(level)
+              if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
+    if arithmetic_genus(graph) < 1 or not levels:
         return
     i_lab, j_lab = labels
     genera, legs, edges, kappa = graph.genera, graph.legs, graph.edges, graph.kappa
@@ -114,7 +126,7 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels):
         ends += [(1, i, side) for i, edge in enumerate(edges)
                  for side in (0, 2) if edge[side] == v]
         valence = len(ends)
-        for m in range(level):
+        for m in levels:
             coeff = Fraction((-1) ** (m + 1), 2)
             for g1 in range(h + 1):
                 parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
@@ -176,17 +188,31 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
     return TautClass(ambient, _split_candidates(graph, level, labels))
 
 
-def operator_candidates(graph, level: int = 1, labels=None):
+def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
+                        ambient=None):
     """Yield the raw candidates of cut, reduce and split for one graph.
 
     Each item is a ``(graph, coeff)`` pair, valid by construction, neither
     canonicalized nor merged; ``TautClass(ambient, operator_candidates(graph))``
-    on the output ambient is the operator image of ``graph``.  Signature checks
-    are left to the consumer.
+    on the output ambient is the operator image of ``graph``.
+
+    With ``shapes``, only the moves whose candidates have a shape (edge count,
+    psi on leg i, psi on leg j) in ``shapes`` are built, the shape read off the
+    move.  With ``ambient``, every candidate, built or not, is checked against
+    it before the first is yielded; otherwise checks are left to the consumer.
     """
     graph, labels, _ = _prepare(graph, level, labels)
+    if ambient is not None:
+        # all candidates share genus and markings and have at most one more
+        # component than graph: below the bound the first stands for all
+        full = (cand for stream in _PARTS.values()
+                for cand, _ in stream(graph, level, labels))
+        if component_count(graph) < ambient.max_components:
+            full = itertools.islice(full, 1)
+        for cand in full:
+            ambient.check(cand)
     for stream in _PARTS.values():
-        yield from stream(graph, level, labels)
+        yield from stream(graph, level, labels, shapes)
 
 
 def _collect(x: TautClass, streams, level: int) -> TautClass:

@@ -44,9 +44,16 @@ def parse_coeff(s) -> Fraction:
         raise InvalidGraphError(f"bad coefficient {s!r}: {exc}") from None
 
 
+def _int(x) -> int:
+    """``x`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _resolve_markings(raw_markings):
     """Map 'i'/'j' tokens to the two labels after the largest integer marking."""
-    ints = [int(m) for m in raw_markings if not isinstance(m, str)]
+    ints = [_int(m) for m in raw_markings if not isinstance(m, str)]
     base = max(ints, default=0)
     table = {"i": base + 1, "j": base + 2}
     out = []
@@ -56,7 +63,7 @@ def _resolve_markings(raw_markings):
                 raise InvalidGraphError(f"unknown marking token {m!r}")
             out.append(table[m])
         else:
-            out.append(int(m))
+            out.append(_int(m))
     return out
 
 
@@ -86,23 +93,23 @@ def graph_to_obj(g) -> dict:
 def graph_from_obj(obj) -> DecoratedGraph:
     try:
         vertices = obj["vertices"]
-        genera = tuple(int(v["genus"]) for v in vertices)
-        kappa = tuple(tuple(int(k) for k in v.get("kappa", ())) for v in vertices)
+        genera = tuple(_int(v["genus"]) for v in vertices)
+        kappa = tuple(tuple(_int(k) for k in v.get("kappa", ())) for v in vertices)
         raw_legs = obj.get("legs", ())
         markings = _resolve_markings([leg["marking"] for leg in raw_legs])
-        legs = tuple((int(leg["vertex"]), m, int(leg.get("psi", 0)))
+        legs = tuple((_int(leg["vertex"]), m, _int(leg.get("psi", 0)))
                      for leg, m in zip(raw_legs, markings))
         edges = []
         used_slots = set()
         for e in obj.get("edges", ()):
             (v1, s1), (v2, s2) = e["ends"]
             for v, s in ((v1, s1), (v2, s2)):
-                if (int(v), int(s)) in used_slots:
+                if (_int(v), _int(s)) in used_slots:
                     raise InvalidGraphError(
                         f"dangling half-edge: slot {s} at vertex {v} used twice")
-                used_slots.add((int(v), int(s)))
+                used_slots.add((v, s))
             p1, p2 = e.get("psi", (0, 0))
-            edges.append((int(v1), int(p1), int(v2), int(p2)))
+            edges.append((v1, _int(p1), v2, _int(p2)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed graph object: {exc}") from None
     graph = DecoratedGraph(genera, legs, tuple(edges), kappa)
@@ -128,8 +135,8 @@ def class_from_obj(obj) -> TautClass:
     try:
         amb = obj["ambient"]
         markings = _resolve_markings(amb.get("markings", ()))
-        ambient = AmbientSignature(int(amb["genus"]), frozenset(markings),
-                                   int(amb.get("max_components", 1)))
+        ambient = AmbientSignature(_int(amb["genus"]), frozenset(markings),
+                                   _int(amb.get("max_components", 1)))
         terms = [(graph_from_obj(t["graph"]), parse_coeff(t["coeff"]))
                  for t in obj.get("terms", ())]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -149,15 +156,18 @@ def interior_to_obj(x: InteriorClass) -> dict:
     }
 
 
+def monomial_from_obj(obj) -> InteriorMonomial:
+    """``{"kappa": [INT, ...], "psi": {"MARK": INT}}`` as a monomial; the psi
+    keys are decimal strings, as JSON object keys always are."""
+    return InteriorMonomial(tuple(_int(k) for k in obj.get("kappa", ())),
+                            {int(m): _int(e) for m, e in obj.get("psi", {}).items()})
+
+
 def interior_from_obj(obj) -> InteriorClass:
     try:
-        terms = []
-        for t in obj.get("terms", ()):
-            mono = InteriorMonomial(
-                tuple(int(k) for k in t.get("kappa", ())),
-                {int(m): int(e) for m, e in t.get("psi", {}).items()})
-            terms.append((mono, parse_coeff(t["coeff"])))
-        return InteriorClass(int(obj["g"]), int(obj["n"]), terms)
+        terms = [(monomial_from_obj(t), parse_coeff(t["coeff"]))
+                 for t in obj.get("terms", ())]
+        return InteriorClass(_int(obj["g"]), _int(obj["n"]), terms)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed interior class object: {exc}") from None
 

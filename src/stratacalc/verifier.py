@@ -441,24 +441,6 @@ def _shape(graph: DecoratedGraph, i_lab: int, j_lab: int) -> tuple[int, int, int
     return graph.n_edges, graph.psi_of_marking(i_lab), graph.psi_of_marking(j_lab)
 
 
-def _targeted_image(graph: DecoratedGraph, ambient: AmbientSignature, shapes,
-                    i_lab: int, j_lab: int) -> TautClass:
-    """The terms of the operator image of ``graph`` whose ``_shape`` lies in
-    ``shapes``, with the coefficients they have in the full image.
-
-    Candidates of any other shape cannot share a canonical form with these,
-    so they are never canonicalized; every candidate, kept or not, is still
-    signature-checked against ``ambient``.
-    """
-    def kept():
-        for cand, coeff in operator_candidates(graph, labels=(i_lab, j_lab)):
-            ambient.check(cand)
-            if _shape(cand, i_lab, j_lab) in shapes:
-                yield cand, coeff
-
-    return TautClass(ambient, kept())
-
-
 def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                                 witness_overrides=None,
                                 _seen=None) -> VerificationReport:
@@ -489,8 +471,29 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
         if witness is not None:
             shapes.add(_shape(witness_of[mono][1], i_lab, j_lab))
     out_amb = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
-    image_of_boundary = [_targeted_image(G, out_amb, shapes, i_lab, j_lab)
-                         for G in bgraphs]
+
+    def kept(G):
+        # only moves of these shapes are built, but every move's signature
+        # is checked; what the stream yields is checked and filtered again
+        for cand, coeff in operator_candidates(G, labels=(i_lab, j_lab),
+                                               shapes=shapes, ambient=out_amb):
+            out_amb.check(cand)
+            if _shape(cand, i_lab, j_lab) in shapes:
+                yield cand, coeff
+
+    # each boundary image is read once: its terms at a witness form fill that
+    # witness's boundary column, its bare terms are structural violations
+    # (boundary images keep an edge or a psi on the new legs)
+    hits = {w[0]: [] for w in witness_of.values() if w is not None}
+    structural_violations = []
+    for b, G in enumerate(bgraphs):
+        for form, graph, coeff in TautClass(out_amb, kept(G)).items():
+            if form in hits:
+                hits[form].append((b, coeff))
+            if _shape(graph, i_lab, j_lab) == _BARE:
+                structural_violations.append(
+                    f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} "
+                    f"has no edge and psi^0 on both new legs")
 
     system_cache: SystemReport | None = None
     entries = []
@@ -537,14 +540,12 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                 violations.append(
                     f"witness also appears in the image of {other} "
                     f"with coefficient {coeff}")
-        bnd_coeffs = []
-        for G, image in zip(bgraphs, image_of_boundary):
-            coeff = image.coefficient_of(canon)
-            bnd_coeffs.append(str(coeff))
-            if coeff != 0:
-                violations.append(
-                    f"witness appears in the image of boundary graph "
-                    f"{canonicalize(G)[0].hex()[:16]} with coefficient {coeff}")
+        bnd_coeffs = ["0"] * len(bgraphs)
+        for b, coeff in hits[form]:
+            bnd_coeffs[b] = str(coeff)
+            violations.append(
+                f"witness appears in the image of boundary graph "
+                f"{canonicalize(bgraphs[b])[0].hex()[:16]} with coefficient {coeff}")
         insts, notes, extrapolated = _witness_assumptions(mono, g, n)
         assumed_instances.update(insts)
         assumption_strs = tuple(
@@ -559,16 +560,9 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             assumptions=assumption_strs, extrapolated=extrapolated,
             violations=tuple(violations)))
 
-    # structural zero-coefficient argument, asserted independently of the
-    # coefficient extraction above: boundary images keep an edge or a psi on
-    # the new legs; witnesses are edge-free with psi^0 there.
-    structural_violations = []
-    for G, image in zip(bgraphs, image_of_boundary):
-        for _, graph, _ in image.items():
-            if _shape(graph, i_lab, j_lab) == _BARE:
-                structural_violations.append(
-                    f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} "
-                    f"has no edge and psi^0 on both new legs")
+    # the structural zero-coefficient argument, asserted independently of the
+    # coefficient extraction above: witnesses are edge-free with psi^0 on the
+    # new legs, where no boundary image term may lie
     for w in witnesses:
         if _shape(w, i_lab, j_lab) != _BARE:
             structural_violations.append(

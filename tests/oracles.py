@@ -7,7 +7,10 @@ one-edge degeneration moves.  ``enumerate_bruteforce`` keeps the library's
 former stable-graph enumeration, which builds every genus composition, leg
 placement and edge multiset.  ``full_image_extraction`` keeps the verifier's
 former witness extraction, which reads every coefficient from the full
-operator image of every boundary graph.  The ``*_candidates_reference``
+operator image of every boundary graph, and ``targeted_image_reference``
+its former targeted extraction, which builds and signature-checks every
+candidate of a boundary graph and keeps those of a wanted shape.
+``relabeled`` permutes the vertices of a graph.  The ``*_candidates_reference``
 streams keep the operator's former candidate generators, which build every
 candidate and keep those that ``validate()`` accepts.  The ``*_reference``
 interior maps keep the former forgetful pushforward and pullback, which expand
@@ -30,13 +33,26 @@ from stratacalc.graphs import (
     compositions,
     single_vertex,
 )
-from stratacalc.invariance import invariance_operator
+from stratacalc.invariance import invariance_operator, operator_candidates
 from stratacalc.pushforward import InteriorClass, InteriorMonomial
 from stratacalc.verifier import (
+    _shape,
     boundary_generators,
     generator_monomials,
     witness_graph_for,
 )
+
+
+def relabeled(graph: DecoratedGraph, new_index) -> DecoratedGraph:
+    """``graph`` under the vertex relabelling ``old -> new_index[old]``."""
+    order = sorted(range(graph.n_vertices), key=lambda old: new_index[old])
+    return DecoratedGraph(
+        tuple(graph.genera[old] for old in order),
+        tuple((new_index[v], m, p) for v, m, p in graph.legs),
+        tuple((new_index[v1], p1, new_index[v2], p2)
+              for v1, p1, v2, p2 in graph.edges),
+        tuple(graph.kappa[old] for old in order),
+    )
 
 
 def _vertex_data(g: DecoratedGraph, v: int):
@@ -278,6 +294,23 @@ def full_image_extraction(g: int, n: int, k: int, witness_overrides=None,
                 f"witness {canonicalize(w)[0].hex()[:16]} is not edge-free with "
                 f"psi^0 on the new legs")
     return rows, tuple(structural)
+
+
+def targeted_image_reference(graph: DecoratedGraph, ambient: AmbientSignature,
+                             shapes, i_lab: int, j_lab: int) -> TautClass:
+    """The terms of the operator image of ``graph`` whose shape (edge count,
+    psi on i, psi on j) lies in ``shapes``, with their full-image coefficients.
+
+    Builds every candidate, signature-checks it against ``ambient`` and keeps
+    those of a wanted shape.
+    """
+    def kept():
+        for cand, coeff in operator_candidates(graph, labels=(i_lab, j_lab)):
+            ambient.check(cand)
+            if _shape(cand, i_lab, j_lab) in shapes:
+                yield cand, coeff
+
+    return TautClass(ambient, kept())
 
 
 # ------------------------------------------------- operator candidate streams

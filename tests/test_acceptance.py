@@ -36,7 +36,7 @@ from stratacalc.serialize import (
     load_file,
 )
 
-from oracles import iso_bruteforce, random_decorated_graph
+from oracles import iso_bruteforce, random_decorated_graph, relabeled
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -188,7 +188,7 @@ def test_criterion_7_canonicalization_fuzz():
         for _ in range(20):
             perm = list(range(graph.n_vertices))
             rng.shuffle(perm)
-            ok = ok and canonical_form(graph.relabeled(perm)) == base
+            ok = ok and canonical_form(relabeled(graph, perm)) == base
             relabelings += 1
         if not ok:
             break
@@ -198,7 +198,7 @@ def test_criterion_7_canonicalization_fuzz():
         if rng.random() < 0.5:
             perm = list(range(a.n_vertices))
             rng.shuffle(perm)
-            b = a.relabeled(perm)
+            b = relabeled(a, perm)
         else:
             b = random_decorated_graph(rng, max_vertices=3, max_marks=2)
         ok = ok and (canonical_form(a) == canonical_form(b)) == iso_bruteforce(a, b)

@@ -1,5 +1,6 @@
 """Command-line contract: files, round trips, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -163,6 +164,21 @@ def test_verify_corrupt_witness_table_exits_1(tmp_path):
     (("push", "--forget", 1, "--in"),
      {"g": 2, "n": 1, "terms": [{"coeff": "1", "kappa": [1], "psi": [1]}]}),
     (("r1", "--in"), {"ambient": [], "terms": []}),
+    # non-integer numbers are refused, not truncated
+    (("push", "--forget", 1, "--in"),
+     {"g": 2, "n": 1, "terms": [{"coeff": "1", "kappa": [1.9], "psi": {}}]}),
+    (("r1", "--in"),
+     {"ambient": {"genus": 2.9, "markings": [], "max_components": 1},
+      "terms": [{"coeff": "1", "graph": {"vertices": [{"genus": 2.9, "kappa": []}]}}]}),
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [], "max_components": 1},
+      "terms": [{"coeff": "1", "graph": {"vertices": [{"genus": 2.0, "kappa": []}]}}]}),
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [], "max_components": True},
+      "terms": [{"coeff": "1", "graph": {"vertices": [{"genus": 2, "kappa": []}]}}]}),
+    (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"),
+     {"overrides": [{"monomial": {"kappa": "12"},
+                     "graph": {"vertices": [{"genus": 6, "kappa": [1]}]}}]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
@@ -170,6 +186,21 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert run(*argv, path) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: malformed ") and err.count("\n") == 1
+
+
+# sha256 of the ``verify --report`` bytes of the instances where the operator
+# streams skip the most candidates
+REPORT_DIGESTS = {
+    (6, 8, 1): "73976fd3c9aea2b83972168c4755dbdcd2318b71d10e16cd55d3995d5e3bf6e2",
+    (9, 2, 3): "42324e41829aa6eba1cafa15977fa371fe8fca5ca29b13e10458c0bafd8f2237",
+}
+
+
+@pytest.mark.parametrize("g,n,k", sorted(REPORT_DIGESTS))
+def test_verify_report_bytes_are_pinned(tmp_path, g, n, k):
+    report = tmp_path / "report.json"
+    assert run("verify", "--g", g, "--n", n, "--k", k, "--report", report) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_DIGESTS[g, n, k]
 
 
 def test_verify_out_of_range_exits_2(tmp_path):

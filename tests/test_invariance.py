@@ -1,6 +1,7 @@
 """Genus-lowering operators: hand-checked values, linearity, invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,9 @@ from stratacalc.invariance import (
     _fresh_labels,
     _reduce_candidates,
     _split_candidates,
+    operator_candidates,
 )
+from stratacalc.verifier import _BARE, _shape
 
 from oracles import (
     cut_candidates_reference,
@@ -343,3 +346,80 @@ def test_candidate_streams_match_validated_reference():
                 assert got == []
             total += len(got)
     assert total > 100_000
+
+
+def test_shape_filtered_streams_match_filtered_full_streams():
+    """Deciding a move by its shape before building it keeps exactly the
+    candidates of the full stream whose shape is wanted, in stream order."""
+    streams = (_cut_candidates, _reduce_candidates, _split_candidates)
+    kept = Counter()
+    for graph, level, labels in _stream_inputs():
+        for stream in streams:
+            full = list(stream(graph, level, labels))
+            assert list(stream(graph, level, labels, None)) == full
+            shape_of = [_shape(cand, *labels) for cand, _ in full]
+            e = graph.n_edges
+            # the bare shape, a one-edge shape, the psi^1 shapes of a cut, all
+            # shapes, and psi on leg i only at level 2
+            for idx, shapes in enumerate(({_BARE}, {(1, 0, 0)},
+                                          {(e - 1, 1, 0), (e - 1, 0, 1)},
+                                          set(shape_of), {(e, 1, 0)})):
+                want = [item for item, shape in zip(full, shape_of) if shape in shapes]
+                got = list(stream(graph, level, labels, shapes))
+                assert got == want, (graph, level, labels, shapes)
+                kept[stream.__name__, idx] += len(got)
+    # a cut always puts psi^level on a new leg, so it is never bare; the
+    # other sets keep candidates of every stream that can have their shape
+    assert kept["_cut_candidates", 0] == 0 and kept["_cut_candidates", 1] == 0
+    assert all(kept[name, 0] and kept[name, 1]
+               for name in ("_reduce_candidates", "_split_candidates"))
+    assert kept["_cut_candidates", 2] > 0
+    assert kept["_reduce_candidates", 4] and kept["_split_candidates", 4]
+    assert sum(kept[stream.__name__, 3] for stream in streams) > 100_000
+
+
+def _first_signature_error(candidates, ambient):
+    for cand, _ in candidates:
+        try:
+            ambient.check(cand)
+        except SignatureError as exc:
+            return str(exc)
+    return None
+
+
+def _signature_inputs():
+    yield from _stream_inputs()
+    # two components already: a cut of the bridge, or any split of an
+    # edge-free vertex, makes a third
+    bridge = DecoratedGraph((1, 1), (), ((0, 0, 1, 0),))
+    yield disjoint_union(single_vertex(1, [1]), bridge), 1, (2, 3)
+    yield disjoint_union(single_vertex(2, [1, 2]), single_vertex(1, [3])), 1, (4, 5)
+
+
+def test_move_level_signature_check_matches_candidate_checks():
+    """``operator_candidates(..., ambient=...)`` raises exactly when some
+    candidate of the full stream fails ``AmbientSignature.check``, with the
+    message of the first failing one, whether or not a move is built."""
+    raised = Counter()
+    for graph, level, labels in _signature_inputs():
+        full = list(operator_candidates(graph, level, labels))
+        pa = arithmetic_genus(graph)
+        markings = frozenset(graph.markings()) | set(labels)
+        ambients = [AmbientSignature(pa - 1, markings, 1),
+                    AmbientSignature(pa - 1, markings, 2),
+                    AmbientSignature(pa, markings, 2),
+                    AmbientSignature(pa - 1, markings - {labels[1]}, 2)]
+        for ambient in ambients:
+            want = _first_signature_error(full, ambient)
+            for shapes in (frozenset(), None):
+                try:
+                    list(operator_candidates(graph, level, labels, shapes=shapes,
+                                             ambient=ambient))
+                    got = None
+                except SignatureError as exc:
+                    got = str(exc)
+                assert got == want, (graph, level, labels, ambient, shapes)
+            if want is not None:
+                raised[want.split()[1 if "markings" in want else 2]] += 1
+    # each check fails somewhere: genus, markings, 2 and 3 components
+    assert all(raised[kind] for kind in ("arithmetic", "markings", "2", "3")), raised

@@ -23,8 +23,9 @@ from stratacalc import (
     witness_graph_for,
 )
 from stratacalc import verifier
+from stratacalc.invariance import operator_candidates
 
-from oracles import full_image_extraction
+from oracles import full_image_extraction, targeted_image_reference
 
 
 def mono(kappa=(), psi=None):
@@ -297,6 +298,26 @@ def test_targeted_extraction_matches_full_image_with_overrides(witness):
     rep = verify_witness_independence(6, 0, 1, witness_overrides=overrides)
     _assert_matches_reference(rep, *full_image_extraction(
         6, 0, 1, witness_overrides=overrides))
+
+
+@pytest.mark.parametrize("g,n,k", [(6, 0, 1), (6, 2, 2), (6, 3, 1), (9, 0, 2)])
+def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
+    """Boundary images built from the shape-filtered, move-checked stream equal
+    those that build and check every candidate, on witness, one-edge and
+    psi^1 shapes."""
+    i_lab, j_lab = n + 1, n + 2
+    out = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
+    witnesses = (witness_graph_for(m, g, n) for m in generator_monomials(g, n, k))
+    witness_shapes = {verifier._BARE} | {verifier._shape(w, i_lab, j_lab)
+                                         for w in witnesses if w is not None}
+    terms = 0
+    for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}):
+        for G in boundary_generators(g, n, k):
+            got = TautClass(out, operator_candidates(G, labels=(i_lab, j_lab),
+                                                     shapes=shapes, ambient=out))
+            assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
+            terms += len(got)
+    assert terms > 0
 
 
 def _inject(monkeypatch, target, extras):
