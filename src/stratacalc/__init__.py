@@ -16,11 +16,10 @@ from .classes import (
     monomial_class,
     zero_class,
 )
-from .errors import InvalidGraphError, SignatureError, SizeGuardError, StrataError
+from .errors import InvalidGraphError, SignatureError, SizeGuardError
 from .graphs import (
     CanonicalForm,
     DecoratedGraph,
-    DualGraph,
     arithmetic_genus,
     automorphism_count,
     canonical_form,
@@ -29,7 +28,6 @@ from .graphs import (
     disjoint_union,
     enumerate_stable_graphs,
     single_vertex,
-    validate,
 )
 from .invariance import (
     cut_edges,
@@ -51,8 +49,6 @@ from .pushforward import (
     verify_kappa_identity,
 )
 from .verifier import (
-    SystemReport,
-    VerificationReport,
     boundary_generators,
     generator_monomials,
     solve_coefficient_system,
@@ -66,17 +62,13 @@ __all__ = [
     "AmbientSignature",
     "CanonicalForm",
     "DecoratedGraph",
-    "DualGraph",
     "INHOMOGENEOUS",
     "InteriorClass",
     "InteriorMonomial",
     "InvalidGraphError",
     "SignatureError",
     "SizeGuardError",
-    "StrataError",
-    "SystemReport",
     "TautClass",
-    "VerificationReport",
     "ZERO_DEGREE",
     "arithmetic_genus",
     "automorphism_count",
@@ -103,7 +95,6 @@ __all__ = [
     "solve_coefficient_system",
     "split_vertices",
     "taut_to_interior",
-    "validate",
     "verify_kappa_identity",
     "verify_witness_independence",
     "witness_graph_for",

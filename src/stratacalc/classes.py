@@ -18,7 +18,6 @@ from .errors import SignatureError
 from .graphs import (
     CanonicalForm,
     DecoratedGraph,
-    DualGraph,
     arithmetic_genus,
     canonicalize,
     component_count,
@@ -151,8 +150,6 @@ class TautClass(_LinearCombination):
                 coeff = Fraction(coeff)
                 if coeff == 0:
                     continue
-                if isinstance(graph, DualGraph):
-                    graph = graph.decorate()
                 form, canon = canonicalize(graph)   # rejects invalid graphs
                 if form not in graphs:
                     # the signature is an isomorphism invariant
@@ -184,10 +181,8 @@ class TautClass(_LinearCombination):
         for form in sorted(self._terms):
             yield form, self._graphs[form], self._terms[form]
 
-    def coefficient_of(self, graph) -> Fraction:
+    def coefficient_of(self, graph: DecoratedGraph) -> Fraction:
         """Stored coefficient of the canonical form of ``graph`` (0 if absent)."""
-        if isinstance(graph, DualGraph):
-            graph = graph.decorate()
         form, _ = canonicalize(graph)
         return self._terms.get(form, Fraction(0))
 

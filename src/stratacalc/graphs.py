@@ -76,33 +76,6 @@ class CanonicalForm:
 
 
 @dataclass(frozen=True)
-class DualGraph:
-    """Undecorated dual graph of a (possibly disconnected) nodal curve."""
-
-    genera: tuple[int, ...]
-    legs: tuple[tuple[int, int], ...] = ()   # (vertex, marking)
-    edges: tuple[tuple[int, int], ...] = ()  # (v1, v2) with v1 <= v2
-
-    def __post_init__(self):
-        genera = tuple(int(x) for x in self.genera)
-        legs = tuple(sorted(((int(v), int(m)) for v, m in self.legs),
-                            key=lambda t: (t[1], t[0])))
-        edges = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in self.edges))
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "edges", edges)
-
-    def decorate(self) -> "DecoratedGraph":
-        """The trivially decorated graph (empty kappa, psi = 0 everywhere)."""
-        return DecoratedGraph(
-            genera=self.genera,
-            legs=tuple((v, m, 0) for v, m in self.legs),
-            edges=tuple((a, 0, b, 0) for a, b in self.edges),
-            kappa=((),) * len(self.genera),
-        )
-
-
-@dataclass(frozen=True)
 class DecoratedGraph:
     """Dual graph with a kappa monomial per vertex and a psi power per half-edge."""
 
@@ -163,11 +136,6 @@ class DecoratedGraph:
                 + sum(p for _, _, p in self.legs)
                 + sum(p1 + p2 for _, p1, _, p2 in self.edges)
                 + sum(sum(ks) for ks in self.kappa))
-
-    def underlying(self) -> DualGraph:
-        return DualGraph(self.genera,
-                         tuple((v, m) for v, m, _ in self.legs),
-                         tuple((v1, v2) for v1, _, v2, _ in self.edges))
 
     def _union_find(self):
         """Join the ends of every edge: the root-of-vertex function and the
@@ -249,23 +217,13 @@ class DecoratedGraph:
             raise InvalidGraphError(diags)
 
 
-def _as_decorated(g) -> DecoratedGraph:
-    return g.decorate() if isinstance(g, DualGraph) else g
-
-
-def validate(g) -> list[str]:
-    """List of violated invariants of ``g`` (a DualGraph or DecoratedGraph)."""
-    return _as_decorated(g).validate()
-
-
-def arithmetic_genus(g) -> int:
+def arithmetic_genus(g: DecoratedGraph) -> int:
     """sum of vertex genera + #edges - #vertices + 1 (any number of components)."""
-    g = _as_decorated(g)
     return sum(g.genera) + g.n_edges - g.n_vertices + 1
 
 
-def component_count(g) -> int:
-    return _as_decorated(g)._union_find()[1]
+def component_count(g: DecoratedGraph) -> int:
+    return g._union_find()[1]
 
 
 def single_vertex(genus: int, legs=(), kappa=()) -> DecoratedGraph:
@@ -370,21 +328,21 @@ def _canonical_search(g: DecoratedGraph):
     return CanonicalForm(encoding), canon, ties
 
 
-def canonicalize(g) -> tuple[CanonicalForm, DecoratedGraph]:
+def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
     """Canonical form and canonical representative of ``g`` up to isomorphism.
 
     Deterministic across runs: the representative is the relabelling with the
     lexicographically least encoding among all orderings compatible with the
     refinement classes.
     """
-    return _canonical_search(_as_decorated(g))[:2]
+    return _canonical_search(g)[:2]
 
 
-def canonical_form(g) -> CanonicalForm:
+def canonical_form(g: DecoratedGraph) -> CanonicalForm:
     return canonicalize(g)[0]
 
 
-def automorphism_count(g) -> int:
+def automorphism_count(g: DecoratedGraph) -> int:
     """Order of the decoration- and marking-preserving automorphism group.
 
     The vertex permutations are the tied orders of the canonical-form search;
@@ -392,7 +350,7 @@ def automorphism_count(g) -> int:
     edges with equal psi data permute freely, and a self-loop with equal psi
     on both ends may flip.
     """
-    _, canon, ties = _canonical_search(_as_decorated(g))
+    _, canon, ties = _canonical_search(g)
     edges = Counter(canon.edges)
     loops = sum(mult for (v1, p1, v2, p2), mult in edges.items() if (v1, p1) == (v2, p2))
     return ties * prod(factorial(mult) for mult in edges.values()) * 2 ** loops
@@ -438,10 +396,10 @@ def _one_edge_degenerations(graph: DecoratedGraph):
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,
-                            min_edges: int | None = None) -> list[DualGraph]:
+                            min_edges: int | None = None) -> list[DecoratedGraph]:
     """All connected stable dual graphs of arithmetic genus ``g`` with markings
     ``1..n``, one canonical representative per isomorphism class, sorted by
-    encoding.
+    encoding.  The representatives carry no decoration (psi = 0, no kappa).
 
     By default the edge count ranges over ``1..max_edges`` (the proper
     degenerations); ``max_edges == 0`` yields the smooth graph alone.  Pass
@@ -479,4 +437,4 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
         if e >= min_edges:
             found.update(level)
         below = level.values()
-    return [found[f].underlying() for f in sorted(found)]
+    return [found[f] for f in sorted(found)]

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .classes import AmbientSignature, TautClass
 from .errors import SignatureError
-from .graphs import DecoratedGraph, DualGraph, arithmetic_genus, component_count
+from .graphs import DecoratedGraph, arithmetic_genus, component_count
 
 __all__ = [
     "cut_edges",
@@ -68,10 +68,8 @@ def _output_ambient(graph: DecoratedGraph, labels) -> AmbientSignature:
     return AmbientSignature(pa - 1, frozenset(graph.markings()) | set(labels), 2)
 
 
-def _prepare(graph, level: int, labels):
+def _prepare(graph: DecoratedGraph, level: int, labels):
     """Validated input graph, its new leg labels and its output ambient."""
-    if isinstance(graph, DualGraph):
-        graph = graph.decorate()
     graph.require_valid()
     if level < 1:
         raise ValueError("level must be >= 1")

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .classes import AmbientSignature, TautClass
 from .errors import InvalidGraphError
-from .graphs import DecoratedGraph, DualGraph
+from .graphs import DecoratedGraph
 from .pushforward import InteriorClass, InteriorMonomial
 
 
@@ -69,9 +69,7 @@ def _resolve_markings(raw_markings):
 
 # -------------------------------------------------------------------- graphs
 
-def graph_to_obj(g) -> dict:
-    if isinstance(g, DualGraph):
-        g = g.decorate()
+def graph_to_obj(g: DecoratedGraph) -> dict:
     slot = [0] * g.n_vertices
     for v, _, _ in g.legs:
         slot[v] += 1     # legs occupy the leading slots of each vertex

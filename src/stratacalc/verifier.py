@@ -12,7 +12,8 @@ For each degree-k generator monomial the verifier either
 
 Induction-hypothesis inputs are recorded as named assumptions, not
 re-verified, unless ``recursive=True`` re-checks the named sub-instances down
-to the trivial genera.
+to the trivial genera; a sub-instance past the budget or a size guard is
+reported as not checked, and the run does not pass.
 """
 
 from __future__ import annotations
@@ -84,18 +85,17 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
     found: dict[CanonicalForm, DecoratedGraph] = {}
     for base in enumerate_stable_graphs(g, n, max_edges=k, min_edges=1):
-        dec = base.decorate()
-        d = k - dec.n_edges
-        V, L, E = dec.n_vertices, len(dec.legs), dec.n_edges
+        d = k - base.n_edges
+        V, L, E = base.n_vertices, len(base.legs), base.n_edges
         for alloc in compositions(d, V + L + 2 * E):
             v_amt = alloc[:V]
             leg_amt = alloc[V:V + L]
             end_amt = alloc[V + L:]
-            legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(dec.legs))
+            legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(base.legs))
             edges = tuple((v1, end_amt[2 * i], v2, end_amt[2 * i + 1])
-                          for i, (v1, _, v2, _) in enumerate(dec.edges))
+                          for i, (v1, _, v2, _) in enumerate(base.edges))
             for kchoice in itertools.product(*[list(_partitions(a)) for a in v_amt]):
-                cand = DecoratedGraph(dec.genera, legs, edges, tuple(kchoice))
+                cand = DecoratedGraph(base.genera, legs, edges, tuple(kchoice))
                 form, canon = canonicalize(cand)
                 found.setdefault(form, canon)
     return [found[f] for f in sorted(found)]
@@ -380,13 +380,15 @@ class VerificationReport:
     structural_violations: tuple[str, ...]
     sub_instances: tuple[tuple[int, int, int, bool], ...] = ()
     passed: bool = False
+    # assumed sub-instances left unchecked: (g, n, k, "budget" | "guard")
+    not_checked: tuple[tuple[int, int, int, str], ...] = ()
 
     @property
     def boundary_total(self) -> int:
         return len(self.boundary_forms)
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "instance": {"g": self.g, "n": self.n, "k": self.k},
             "labels": {"i": self.i_label, "j": self.j_label},
             "entries": [e.to_obj() for e in self.entries],
@@ -401,6 +403,10 @@ class VerificationReport:
             ],
             "passed": self.passed,
         }
+        if self.not_checked:
+            obj["not_checked"] = [{"g": g, "n": n, "k": k, "reason": why}
+                                  for g, n, k, why in self.not_checked]
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
@@ -425,6 +431,8 @@ class VerificationReport:
         for g, n, k, ok in self.sub_instances:
             lines.append(f"  sub-instance (g={g}, n={n}, k={k}): "
                          f"{'pass' if ok else 'FAIL'}")
+        for g, n, k, why in self.not_checked:
+            lines.append(f"  sub-instance (g={g}, n={n}, k={k}): not checked ({why})")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
@@ -571,8 +579,10 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     structural_ok = not structural_violations
 
     sub_results = []
+    not_checked = []
     passed = all(e.passed for e in entries) and structural_ok
     if recursive:
+        # each instance is checked or listed as not checked once per run
         seen = _seen if _seen is not None else set()
         seen.add((g, n, k))
         for inst in sorted(assumed_instances):
@@ -581,16 +591,24 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                 continue
             if ig < 3 or ik < 1:
                 continue   # trivial base cases
-            if len(seen) >= _RECURSION_BUDGET:
-                break
             seen.add(inst)
-            sub = verify_witness_independence(ig, im, ik, recursive=True, _seen=seen)
+            if len(seen) > _RECURSION_BUDGET:
+                not_checked.append(inst + ("budget",))
+                continue
+            try:
+                sub = verify_witness_independence(ig, im, ik, recursive=True, _seen=seen)
+            except SizeGuardError:
+                not_checked.append(inst + ("guard",))
+                continue
             sub_results.append((ig, im, ik, sub.passed))
+            not_checked.extend(sub.not_checked)
             passed = passed and sub.passed
+    passed = passed and not not_checked
 
     return VerificationReport(
         g=g, n=n, k=k, i_label=i_lab, j_label=j_lab, entries=tuple(entries),
         boundary_forms=tuple(canonicalize(G)[0].hex() for G in bgraphs),
         structural_ok=structural_ok,
         structural_violations=tuple(structural_violations),
-        sub_instances=tuple(sub_results), passed=passed)
+        sub_instances=tuple(sub_results), passed=passed,
+        not_checked=tuple(not_checked))

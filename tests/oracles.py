@@ -27,7 +27,6 @@ from stratacalc.classes import AmbientSignature, TautClass, monomial_class
 from stratacalc.graphs import (
     CanonicalForm,
     DecoratedGraph,
-    DualGraph,
     canonicalize,
     component_count,
     compositions,
@@ -169,10 +168,11 @@ def degeneration_strata(g: int, n: int, max_edges: int):
 # ------------------------------------------------------ brute-force enumeration
 
 def enumerate_bruteforce(g: int, n: int, max_edges: int,
-                         min_edges: int | None = None) -> list[DualGraph]:
+                         min_edges: int | None = None) -> list[DecoratedGraph]:
     """Connected stable dual graphs of genus ``g`` with markings ``1..n`` and
     ``min_edges..max_edges`` edges, sorted by canonical form: every genus
-    composition x leg placement x edge multiset, each canonicalized."""
+    composition x leg placement x edge multiset, each canonicalized, with no
+    decoration (psi = 0, no kappa)."""
     if g < 0 or n < 0 or max_edges < 0:
         raise ValueError("g, n and max_edges must be non-negative")
     if min_edges is None:
@@ -180,7 +180,7 @@ def enumerate_bruteforce(g: int, n: int, max_edges: int,
     if not 0 <= min_edges <= max_edges:
         raise ValueError("need 0 <= min_edges <= max_edges")
 
-    found: dict[CanonicalForm, DualGraph] = {}
+    found: dict[CanonicalForm, DecoratedGraph] = {}
     vertex_budget = 2 * g - 2 + n   # every stable vertex contributes >= 1
     for e in range(min_edges, max_edges + 1):
         for V in range(1, min(vertex_budget, e + 1) + 1):
@@ -190,22 +190,22 @@ def enumerate_bruteforce(g: int, n: int, max_edges: int,
             pairs = [(u, v) for u in range(V) for v in range(u, V)]
             for genera in compositions(total_genus, V):
                 for leg_to in itertools.product(range(V), repeat=n):
-                    legs = tuple((leg_to[m - 1], m) for m in range(1, n + 1))
+                    legs = tuple((leg_to[m - 1], m, 0) for m in range(1, n + 1))
                     for chosen in itertools.combinations_with_replacement(pairs, e):
                         val = [0] * V
-                        for v, _ in legs:
+                        for v, _, _ in legs:
                             val[v] += 1
                         for u, v in chosen:
                             val[u] += 1
                             val[v] += 1
                         if any(2 * genera[v] - 2 + val[v] <= 0 for v in range(V)):
                             continue
-                        dual = DualGraph(genera, legs, chosen)
-                        if component_count(dual) != 1:
+                        graph = DecoratedGraph(genera, legs,
+                                               tuple((u, 0, v, 0) for u, v in chosen))
+                        if component_count(graph) != 1:
                             continue
-                        form, canon = canonicalize(dual.decorate())
-                        if form not in found:
-                            found[form] = canon.underlying()
+                        form, canon = canonicalize(graph)
+                        found.setdefault(form, canon)
     return [found[f] for f in sorted(found)]
 
 

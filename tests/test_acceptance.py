@@ -24,7 +24,6 @@ from stratacalc import (
     monomial_class,
     single_vertex,
     solve_coefficient_system,
-    validate,
     verify_kappa_identity,
 )
 from stratacalc.cli import main
@@ -150,7 +149,7 @@ def test_criterion_6_operator_invariant_suite():
         out = invariance_operator(x)
         expected_marks = tuple(range(1, len(marks) + 3))
         for _, term, _ in out.items():
-            ok = ok and validate(term) == []
+            ok = ok and term.validate() == []
             ok = ok and arithmetic_genus(term) == g0 - 1
             ok = ok and component_count(term) <= 2
             ok = ok and term.markings() == expected_marks

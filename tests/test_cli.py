@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stratacalc import verifier
 from stratacalc.cli import main
 from stratacalc.serialize import (
     class_from_obj,
@@ -215,8 +216,25 @@ def test_verify_recursive_flag(tmp_path):
     report = tmp_path / "rec.json"
     assert run("verify", "--g", 6, "--n", 0, "--k", 1, "--recursive",
                "--report", report) == 0
-    subs = load_file(report)["sub_instances"]
-    assert {"g": 5, "n": 1, "k": 1, "passed": True} in subs
+    obj = load_file(report)
+    assert {"g": 5, "n": 1, "k": 1, "passed": True} in obj["sub_instances"]
+    assert "not_checked" not in obj   # written only when something was skipped
+
+
+@pytest.mark.parametrize("limit,value,reason", [("_RECURSION_BUDGET", 1, "budget"),
+                                                ("_MAX_N", 2, "guard")])
+def test_verify_recursive_lists_what_it_did_not_check(monkeypatch, tmp_path, capsys,
+                                                      limit, value, reason):
+    monkeypatch.setattr(verifier, limit, value)
+    report = tmp_path / "rec.json"
+    assert run("verify", "--g", 6, "--n", 2, "--k", 1, "--recursive",
+               "--report", report, "--text") == 1
+    obj = load_file(report)
+    assert obj["not_checked"] == [{"g": 5, "n": 3, "k": 1, "reason": reason}]
+    assert obj["sub_instances"] == [] and obj["passed"] is False
+    text = capsys.readouterr().out
+    assert f"sub-instance (g=5, n=3, k=1): not checked ({reason})\n" in text
+    assert text.endswith("overall: FAIL\n")
 
 
 # --------------------------------------------------------------- round trips

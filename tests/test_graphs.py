@@ -7,7 +7,6 @@ import pytest
 
 from stratacalc import (
     DecoratedGraph,
-    DualGraph,
     InvalidGraphError,
     SizeGuardError,
     arithmetic_genus,
@@ -20,7 +19,6 @@ from stratacalc import (
     invariance_operator,
     monomial_class,
     single_vertex,
-    validate,
 )
 from stratacalc.cli import main
 
@@ -41,17 +39,17 @@ def two_vertex_bridge(g1=1, g2=1):
 # ----------------------------------------------------------------- validation
 
 def test_validate_smooth_genus2():
-    assert validate(single_vertex(2)) == []
+    assert single_vertex(2).validate() == []
 
 
 def test_validate_unstable_rational_leg():
-    diags = validate(single_vertex(0, [(1, 0)]))
+    diags = single_vertex(0, [(1, 0)]).validate()
     assert any("unstable vertex" in d for d in diags)
 
 
 def test_validate_bridge_genus():
     g = two_vertex_bridge()
-    assert validate(g) == []
+    assert g.validate() == []
     assert arithmetic_genus(g) == 2
 
 
@@ -201,8 +199,7 @@ def test_automorphism_matches_halfedge_oracle():
              invariance_operator(monomial_class(3, 2, kappa=(1,), psi={1: 1})).items()]
     assert any(component_count(g) == 2 for g in image)
     graphs += image
-    graphs += [G.decorate() for G in
-               enumerate_stable_graphs(2, 0, 3) + enumerate_stable_graphs(0, 5, 2)]
+    graphs += enumerate_stable_graphs(2, 0, 3) + enumerate_stable_graphs(0, 5, 2)
     for g in graphs:
         assert automorphism_count(g) == automorphisms_bruteforce(g)
     with pytest.raises(InvalidGraphError):
@@ -234,8 +231,8 @@ def test_enumerate_genus2_one_edge():
     graphs = enumerate_stable_graphs(2, 0, 1)
     assert len(graphs) == 2
     shapes = {(G.genera, G.edges) for G in graphs}
-    assert ((1,), ((0, 0),)) in shapes          # self-loop
-    assert ((1, 1), ((0, 1),)) in shapes        # two genus-1 vertices
+    assert ((1,), ((0, 0, 0, 0),)) in shapes          # self-loop
+    assert ((1, 1), ((0, 0, 1, 0),)) in shapes        # two genus-1 vertices
 
 
 def test_enumerate_includes_smooth_with_min_edges_zero():
@@ -267,7 +264,7 @@ def test_enumerate_matches_degeneration_oracle(g, n, emax):
     oracle = degeneration_strata(g, n, emax)
     for e in range(emax + 1):
         ours = enumerate_stable_graphs(g, n, e, min_edges=e)
-        forms = {canonical_form(G.decorate()) for G in ours}
+        forms = {canonical_form(G) for G in ours}
         assert forms == set(oracle[e])
 
 
@@ -305,16 +302,15 @@ def test_enumerate_sorted_and_deterministic():
     a = enumerate_stable_graphs(3, 1, 2)
     b = enumerate_stable_graphs(3, 1, 2)
     assert a == b
-    encodings = [canonical_form(G.decorate()) for G in a]
+    encodings = [canonical_form(G) for G in a]
     assert encodings == sorted(encodings)
 
 
 def test_enumerate_no_isomorphic_duplicates():
     graphs = enumerate_stable_graphs(3, 0, 2)
-    decs = [G.decorate() for G in graphs]
-    for i in range(len(decs)):
-        for j in range(i + 1, len(decs)):
-            assert not iso_bruteforce(decs[i], decs[j])
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            assert not iso_bruteforce(graphs[i], graphs[j])
 
 
 def test_enumerate_size_guard(monkeypatch):
@@ -323,6 +319,10 @@ def test_enumerate_size_guard(monkeypatch):
         enumerate_stable_graphs(3, 0, 2)
 
 
-def test_dualgraph_decorate_roundtrip():
-    G = enumerate_stable_graphs(2, 0, 1)[0]
-    assert G.decorate().underlying() == G
+def test_enumerate_returns_undecorated_canonical_graphs():
+    for g, n, emax in ((2, 0, 3), (0, 5, 2), (3, 2, 2)):
+        graphs = enumerate_stable_graphs(g, n, emax, min_edges=0)
+        assert graphs
+        for G in graphs:
+            assert canonicalize(G)[1] == G
+            assert G.degree() == G.n_edges   # psi = 0 and no kappa anywhere

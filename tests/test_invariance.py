@@ -23,7 +23,6 @@ from stratacalc import (
     reduce_genus,
     single_vertex,
     split_vertices,
-    validate,
 )
 from stratacalc.invariance import (
     _cut_candidates,
@@ -245,7 +244,7 @@ def test_operator_invariants_random():
         n_marks = len(x.ambient.markings)
         expected_marks = tuple(range(1, n_marks + 3))
         for _, term, _ in out.items():
-            assert validate(term) == []
+            assert term.validate() == []
             assert arithmetic_genus(term) == x.ambient.genus - 1
             assert component_count(term) <= 2
             assert term.markings() == expected_marks
@@ -313,14 +312,13 @@ def _stream_inputs():
     for g in range(4):
         for n in range(4):
             fresh = _fresh_labels(range(1, n + 1))
-            for dual in enumerate_stable_graphs(g, n, 3, min_edges=0):
-                graph = dual.decorate()
+            for graph in enumerate_stable_graphs(g, n, 3, min_edges=0):
                 yield graph, 1, fresh
                 yield graph, 2, (fresh[1] + 3, fresh[0])
                 yield _decorated(graph), 1, fresh
     # arithmetic genus 0, with edges, connected or not: every stream is empty
-    for dual in enumerate_stable_graphs(0, 5, 2, min_edges=0):
-        yield dual.decorate(), 1, (6, 7)
+    for graph in enumerate_stable_graphs(0, 5, 2, min_edges=0):
+        yield graph, 1, (6, 7)
     tree = DecoratedGraph((0, 0), ((0, 2, 0), (0, 3, 0), (1, 4, 0), (1, 5, 0)),
                           ((0, 0, 1, 0),))
     yield disjoint_union(single_vertex(1, [1], (1,)), tree), 2, (6, 7)

@@ -67,10 +67,8 @@ def test_boundary_degree1_genus6():
 def test_boundary_degree1_matches_enumeration():
     graphs = boundary_generators(2, 0, 1)
     assert len(graphs) == 2
-    undecorated = {canonical_form(G.underlying().decorate()) for G in graphs}
-    plain = {canonical_form(G.decorate())
-             for G in enumerate_stable_graphs(2, 0, 1)}
-    assert undecorated == plain
+    # one edge already has degree 1, so no boundary graph carries a decoration
+    assert graphs == enumerate_stable_graphs(2, 0, 1)
 
 
 def test_boundary_degree2_genus3():
@@ -243,6 +241,29 @@ def test_verify_recursive_subinstances():
     rep = verify_witness_independence(6, 0, 1, recursive=True)
     assert rep.passed
     assert (5, 1, 1, True) in rep.sub_instances
+
+
+def test_verify_recursive_guard_lists_skipped_instances_at_depth(monkeypatch):
+    # (9,0,2) checks (8,1,2); two of the instances that one assumes are past
+    # the n guard, and the run goes on past them
+    monkeypatch.setattr(verifier, "_MAX_N", 1)
+    rep = verify_witness_independence(9, 0, 2, recursive=True)
+    assert rep.sub_instances == ((8, 1, 2, False),)
+    assert rep.not_checked == ((3, 2, 1, "guard"), (5, 2, 1, "guard"))
+    assert not rep.passed
+    assert all(e.passed for e in rep.entries) and rep.structural_ok
+
+
+def test_verify_recursive_budget_lists_every_skipped_instance(monkeypatch):
+    # (9,0,2) checks (8,1,2), which assumes four more instances; a budget of
+    # three instances in all leaves room for (3,1,1) alone, and the other
+    # three are listed from inside (8,1,2)
+    monkeypatch.setattr(verifier, "_RECURSION_BUDGET", 3)
+    rep = verify_witness_independence(9, 0, 2, recursive=True)
+    assert rep.sub_instances == ((8, 1, 2, False),)
+    assert rep.not_checked == ((3, 2, 1, "budget"), (5, 1, 1, "budget"),
+                               (5, 2, 1, "budget"))
+    assert not rep.passed
 
 
 def test_verify_guards():
