@@ -69,12 +69,11 @@ def _output_ambient(graph: DecoratedGraph, labels) -> AmbientSignature:
 
 
 def _prepare(graph: DecoratedGraph, level: int, labels):
-    """Validated input graph, its new leg labels and its output ambient."""
-    graph.require_valid()
+    """New leg labels and output ambient of a valid input graph."""
     if level < 1:
         raise ValueError("level must be >= 1")
     labels = labels or _fresh_labels(set(graph.markings()))
-    return graph, labels, _output_ambient(graph, labels)
+    return labels, _output_ambient(graph, labels)
 
 
 def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
@@ -158,7 +157,8 @@ def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
     under both label assignments.  The extra power multiplies any psi
     decoration already sitting on the cut half-edge.
     """
-    graph, labels, ambient = _prepare(graph, level, labels)
+    graph.require_valid()
+    labels, ambient = _prepare(graph, level, labels)
     return TautClass(ambient, _cut_candidates(graph, level, labels))
 
 
@@ -168,7 +168,8 @@ def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
     For every vertex of genus >= 1 and every m in 0..level-1 the new legs
     carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
     """
-    graph, labels, ambient = _prepare(graph, level, labels)
+    graph.require_valid()
+    labels, ambient = _prepare(graph, level, labels)
     return TautClass(ambient, _reduce_candidates(graph, level, labels))
 
 
@@ -182,7 +183,8 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
     canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
     leg i and psi^m on leg j, m in 0..level-1.
     """
-    graph, labels, ambient = _prepare(graph, level, labels)
+    graph.require_valid()
+    labels, ambient = _prepare(graph, level, labels)
     return TautClass(ambient, _split_candidates(graph, level, labels))
 
 
@@ -199,7 +201,14 @@ def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
     move.  With ``ambient``, every candidate, built or not, is checked against
     it before the first is yielded; otherwise checks are left to the consumer.
     """
-    graph, labels, _ = _prepare(graph, level, labels)
+    graph.require_valid()
+    yield from _candidates_of_valid(graph, level, labels, shapes, ambient)
+
+
+def _candidates_of_valid(graph, level=1, labels=None, shapes=None, ambient=None):
+    """``operator_candidates`` of a graph already known to be valid, such as
+    a canonical representative (``canonicalize`` validated its input)."""
+    labels, _ = _prepare(graph, level, labels)
     if ambient is not None:
         # all candidates share genus and markings and have at most one more
         # component than graph: below the bound the first stands for all

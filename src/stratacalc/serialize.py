@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .classes import AmbientSignature, TautClass
 from .errors import InvalidGraphError
@@ -173,7 +174,42 @@ def interior_from_obj(obj) -> InteriorClass:
 # ----------------------------------------------------------------- file layer
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte and
+    with the same ``TypeError``s, but from str joins: json encodes in pure
+    Python whenever it indents.  Scalars go to json itself."""
+    return _indented(obj, "\n") + "\n"
+
+
+#: Quoted dict keys; a document repeats a few keys many times.
+_quoted_key = lru_cache(maxsize=256)(json.dumps)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _quoted_key(k)
+    if k is None or isinstance(k, (int, float)):
+        return f'"{json.dumps(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _indented(obj, nl: str) -> str:
+    """``obj`` as JSON, each nested line starting with ``nl`` and two spaces."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        body = f",{inner}".join([str(x) if type(x) is int else _indented(x, inner)
+                                 for x in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        body = f",{inner}".join([
+            f"{_key(k)}: {v}" if type(v) is int else f"{_key(k)}: {_indented(v, inner)}"
+            for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{nl}}}"
+    return json.dumps(obj)
 
 
 def dump_file(obj, path) -> None:

@@ -19,7 +19,6 @@ reported as not checked, and the run does not pass.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,13 +33,14 @@ from .graphs import (
     enumerate_stable_graphs,
     single_vertex,
 )
-from .invariance import invariance_operator, operator_candidates
+from .invariance import _candidates_of_valid, invariance_operator
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
     faber_constant,
     forget_pushforward,
 )
+from .serialize import dumps
 
 _MAX_K = 3
 _MAX_G = 30
@@ -409,7 +409,7 @@ class VerificationReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_obj())
 
     def to_text(self) -> str:
         lines = [
@@ -481,10 +481,11 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     out_amb = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
 
     def kept(G):
-        # only moves of these shapes are built, but every move's signature
-        # is checked; what the stream yields is checked and filtered again
-        for cand, coeff in operator_candidates(G, labels=(i_lab, j_lab),
-                                               shapes=shapes, ambient=out_amb):
+        # G is a canonical representative, so valid; only moves of these shapes
+        # are built, but every move's signature is checked; what the stream
+        # yields is checked and filtered again
+        for cand, coeff in _candidates_of_valid(G, labels=(i_lab, j_lab),
+                                                shapes=shapes, ambient=out_amb):
             out_amb.check(cand)
             if _shape(cand, i_lab, j_lab) in shapes:
                 yield cand, coeff

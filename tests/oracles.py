@@ -15,18 +15,27 @@ streams keep the operator's former candidate generators, which build every
 candidate and keep those that ``validate()`` accepts.  The ``*_reference``
 interior maps keep the former forgetful pushforward and pullback, which expand
 every index subset of the kappa factors through the public constructors.
+``validate_reference`` and ``canonical_search_reference`` keep the former
+graph validation, which recounts each vertex's valence, and the former
+canonical-form search, which refines colors to a fixed point, sorts legs and
+edges under every candidate order, and rebuilds the representative through
+the public constructor.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import json
+from collections import Counter, defaultdict
 from fractions import Fraction
+from math import factorial, prod
 
 from stratacalc.classes import AmbientSignature, TautClass, monomial_class
+from stratacalc.errors import InvalidGraphError, SizeGuardError
 from stratacalc.graphs import (
     CanonicalForm,
     DecoratedGraph,
+    arithmetic_genus,
     canonicalize,
     component_count,
     compositions,
@@ -423,6 +432,137 @@ def pullback_lift_reference(y: InteriorClass, p: int) -> InteriorClass:
     return InteriorClass(g, n, out)
 
 
+# ------------------------------------------------- validation and canonical form
+
+def _valence(g: DecoratedGraph, v: int) -> int:
+    val = sum(1 for lv, _, _ in g.legs if lv == v)
+    for v1, _, v2, _ in g.edges:
+        val += (v1 == v) + (v2 == v)
+    return val
+
+
+def validate_reference(g: DecoratedGraph) -> list[str]:
+    """The former ``DecoratedGraph.validate``: the same diagnostics in the same
+    order, with each vertex's valence counted over all legs and edges."""
+    diags = []
+    V = g.n_vertices
+    if V == 0:
+        return ["empty graph: no vertices"]
+    if len(g.kappa) != V:
+        return [f"decoration arity mismatch: {len(g.kappa)} kappa entries "
+                f"for {V} vertices"]
+    for v, genus in enumerate(g.genera):
+        if genus < 0:
+            diags.append(f"negative genus at vertex {v}")
+    dangling = False
+    for idx, (v, m, p) in enumerate(g.legs):
+        if not 0 <= v < V:
+            diags.append(f"dangling half-edge: leg {idx} references vertex {v}")
+            dangling = True
+        if m < 1:
+            diags.append(f"invalid marking label {m} on leg {idx}")
+        if p < 0:
+            diags.append(f"negative psi exponent on leg {idx}")
+    for m, count in sorted(Counter(m for _, m, _ in g.legs).items()):
+        if count > 1:
+            diags.append(f"duplicate marking: {m}")
+    for idx, (v1, p1, v2, p2) in enumerate(g.edges):
+        for v in (v1, v2):
+            if not 0 <= v < V:
+                diags.append(f"dangling half-edge: edge {idx} references vertex {v}")
+                dangling = True
+        if p1 < 0 or p2 < 0:
+            diags.append(f"negative psi exponent on edge {idx}")
+    for v, ks in enumerate(g.kappa):
+        if any(k < 1 for k in ks):
+            diags.append(f"invalid kappa index at vertex {v} (indices must be >= 1)")
+    if dangling:
+        return diags
+    for v in range(V):
+        if 2 * g.genera[v] - 2 + _valence(g, v) <= 0:
+            diags.append(f"unstable vertex: {v} (genus {g.genera[v]}, "
+                         f"valence {_valence(g, v)})")
+    if not diags:
+        pa = arithmetic_genus(g)
+        if pa < 0:
+            diags.append(f"negative arithmetic genus: {pa}")
+    return diags
+
+
+def _dense_ranks(keys):
+    ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [ranks[k] for k in keys]
+
+
+def _refinement_colors(g: DecoratedGraph) -> list[int]:
+    legs_at = defaultdict(list)
+    for v, m, p in g.legs:
+        legs_at[v].append((m, p))
+    base = [(g.genera[v], g.kappa[v], tuple(sorted(legs_at[v])), _valence(g, v))
+            for v in range(g.n_vertices)]
+    colors = _dense_ranks(base)
+    incident = defaultdict(list)
+    for v1, p1, v2, p2 in g.edges:
+        incident[v1].append((p1, v2, p2))
+        incident[v2].append((p2, v1, p1))
+    while True:
+        keys = [(colors[v], tuple(sorted((p, colors[u], q) for p, u, q in incident[v])))
+                for v in range(g.n_vertices)]
+        new = _dense_ranks(keys)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def candidate_orders_reference(g: DecoratedGraph):
+    """Every vertex order of the former search: the refinement cells in color
+    order, each cell permuted freely."""
+    colors = _refinement_colors(g)
+    groups = defaultdict(list)
+    for v, c in enumerate(colors):
+        groups[c].append(v)
+    cells = [groups[c] for c in sorted(groups)]
+    if prod(factorial(len(cell)) for cell in cells) > 1_000_000:
+        raise SizeGuardError(
+            f"canonicalization search space too large for {g.n_vertices} vertices")
+    for combo in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def _encode_under(g: DecoratedGraph, order):
+    pos = {old: new for new, old in enumerate(order)}
+    verts = tuple((g.genera[o], g.kappa[o]) for o in order)
+    legs = tuple(sorted((m, pos[v], p) for v, m, p in g.legs))
+    edges = []
+    for v1, p1, v2, p2 in g.edges:
+        a, b = (pos[v1], p1), (pos[v2], p2)
+        if b < a:
+            a, b = b, a
+        edges.append((a[0], a[1], b[0], b[1]))
+    return (verts, legs, tuple(sorted(edges)))
+
+
+def canonical_search_reference(g: DecoratedGraph):
+    """The former ``graphs._canonical_search``, uncached: canonical form,
+    canonical representative and the number of tied candidate orders."""
+    diags = validate_reference(g)
+    if diags:
+        raise InvalidGraphError(diags)
+    best_key = None
+    ties = 0
+    for order in candidate_orders_reference(g):
+        key = _encode_under(g, order)
+        if key == best_key:
+            ties += 1
+        elif best_key is None or key < best_key:
+            best_key, ties = key, 1
+    verts, legs, edges = best_key
+    genera, kappa = zip(*verts)
+    canon = DecoratedGraph(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
+    encoding = json.dumps(best_key, separators=(",", ":")).encode("ascii")
+    return CanonicalForm(encoding), canon, ties
+
+
 # ------------------------------------------------------------- random graphs
 
 def random_decorated_graph(rng, max_vertices=4, max_extra_edges=2, max_marks=3,
@@ -459,7 +599,6 @@ def random_decorated_graph(rng, max_vertices=4, max_extra_edges=2, max_marks=3,
         graph = DecoratedGraph(genera, legs, edge_tuples, kappa)
         if graph.validate():
             continue
-        from stratacalc.graphs import arithmetic_genus
         if not lo <= arithmetic_genus(graph) <= hi:
             continue
         if connected and component_count(graph) != 1:

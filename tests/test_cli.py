@@ -204,6 +204,37 @@ def test_verify_report_bytes_are_pinned(tmp_path, g, n, k):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_DIGESTS[g, n, k]
 
 
+# sha256 of CLI outputs: the largest enumerate output (5.2 MB), the smooth
+# graph with every degeneration, one r1 image and one pushforward
+PUSH_INPUT = {"g": 5, "n": 3, "terms": [
+    {"coeff": "3/2", "kappa": [1, 2], "psi": {"1": 1, "3": 2}},
+    {"coeff": "-1/7", "kappa": [], "psi": {"2": 3, "3": 1}},
+    {"coeff": "5", "kappa": [3], "psi": {}}]}
+OUTPUT_DIGESTS = {
+    ("enumerate", "--g", "12", "--n", "2", "--max-edges", "3"):
+        "6667aed95ffded95129342c49206a18869c2435d7ef419bd4da9f38facd773c6",
+    ("enumerate", "--g", "2", "--n", "0", "--max-edges", "3", "--min-edges", "0"):
+        "0c17e90f207260c34f12a5d77b5dc5e8a5746da002a0838f841aa923b267b094",
+    ("r1", "--in", str(FIXTURES / "mixed_class_genus6.json")):
+        "4c2ad19998ca4919ec99caecd3adeeaa338d99e0736d4bf530c8f5311b44a5a7",
+    ("push", "--in", "push.json", "--forget", "3"):
+        "cef48e82f0618a59a5085bf8c141240caf12f6a9661a96519aa2832c419a31a3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "push.json").write_text(json.dumps(PUSH_INPUT))
+    assert run(*argv, "--out", "out.json") == 0
+    data = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
+    if len(data) < 10 ** 5:   # the same bytes on stdout
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == data
+
+
 def test_verify_out_of_range_exits_2(tmp_path):
     assert run("verify", "--g", 6, "--n", 0, "--k", 3) == 2
 

@@ -20,15 +20,19 @@ from stratacalc import (
     monomial_class,
     single_vertex,
 )
+from stratacalc import graphs, verifier
 from stratacalc.cli import main
 
 from oracles import (
     automorphisms_bruteforce,
+    candidate_orders_reference,
+    canonical_search_reference,
     degeneration_strata,
     enumerate_bruteforce,
     iso_bruteforce,
     random_decorated_graph,
     relabeled,
+    validate_reference,
 )
 
 
@@ -63,6 +67,47 @@ def test_validate_dangling_and_duplicate():
 def test_require_valid_raises():
     with pytest.raises(InvalidGraphError):
         single_vertex(0, [(1, 0)]).require_valid()
+
+
+#: The start of each diagnostic ``validate`` reports.
+DIAGNOSTIC_KINDS = (
+    "empty graph", "decoration arity mismatch", "negative genus",
+    "dangling half-edge: leg", "invalid marking label", "negative psi exponent on leg",
+    "duplicate marking", "dangling half-edge: edge", "negative psi exponent on edge",
+    "invalid kappa index", "unstable vertex", "negative arithmetic genus",
+)
+
+
+def _random_raw_graph(rng) -> DecoratedGraph:
+    """A graph with fields drawn around their valid ranges, mostly invalid."""
+    if rng.random() < 0.15:
+        # stable genus-0 pieces side by side: valid apart from arithmetic genus
+        pieces = rng.randint(2, 3)
+        return DecoratedGraph((0,) * pieces,
+                              tuple((v, 3 * v + i + 1, 0)
+                                    for v in range(pieces) for i in range(3)))
+    V = rng.randint(0, 4)
+    legs = tuple((rng.randint(-1, V), rng.randint(-1, 4), rng.randint(-1, 2))
+                 for _ in range(rng.randint(0, 4)))
+    edges = tuple((rng.randint(-1, V), rng.randint(-1, 1), rng.randint(-1, V),
+                   rng.randint(-1, 1)) for _ in range(rng.randint(0, 3)))
+    kappa = tuple(rng.choice(((), (), (1,), (0,), (2, -1)))
+                  for _ in range(max(V + rng.choice((0, 0, 0, 1, -1)), 0)))
+    return DecoratedGraph(tuple(rng.randint(-1, 2) for _ in range(V)), legs, edges, kappa)
+
+
+def test_validate_matches_reference_on_every_kind_of_diagnostic():
+    rng = random.Random(8080)
+    seen = set()
+    for _ in range(3000):
+        g = _random_raw_graph(rng)
+        diags = g.validate()
+        assert diags == validate_reference(g)
+        seen.update(kind for kind in DIAGNOSTIC_KINDS for d in diags if d.startswith(kind))
+    for _ in range(200):
+        g = random_decorated_graph(rng, genus_range=(0, 6), connected=False)
+        assert g.validate() == validate_reference(g) == []
+    assert seen == set(DIAGNOSTIC_KINDS)
 
 
 # ------------------------------------------------------------------- genus
@@ -151,6 +196,63 @@ def test_canonical_agrees_with_bruteforce_oracle():
         else:
             b = random_decorated_graph(rng, max_vertices=3, max_marks=2)
         assert (canonical_form(a) == canonical_form(b)) == iso_bruteforce(a, b)
+
+
+def _assert_search_matches_reference(g):
+    form, canon, ties = graphs._canonical_search.__wrapped__(g)
+    ref_form, ref_canon, ref_ties = canonical_search_reference(g)
+    assert form.encoding == ref_form.encoding
+    assert (canon.genera, canon.legs, canon.edges, canon.kappa) == (
+        ref_canon.genera, ref_canon.legs, ref_canon.edges, ref_canon.kappa)
+    assert ties == ref_ties
+
+
+def test_canonical_search_matches_reference_on_enumerate_ladder(monkeypatch):
+    """Every graph the enumerate-ladder benchmark canonicalizes: the candidates
+    of enumeration and of boundary decoration, and the graphs they return."""
+    inputs = set()
+    real = graphs.canonicalize
+
+    def recording(g):
+        inputs.add(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "canonicalize", recording)
+    monkeypatch.setattr(verifier, "canonicalize", recording)
+    for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
+        inputs.update(enumerate_stable_graphs(g, n, e))
+        inputs.update(verifier.boundary_generators(g, n, e))
+    assert len(inputs) > 4000
+    for g in inputs:
+        _assert_search_matches_reference(g)
+
+
+def test_canonical_search_matches_reference_on_random_graphs():
+    rng = random.Random(1301)
+    features = dict.fromkeys(("disconnected", "self-loop", "parallel edges",
+                              "non-discrete refinement", "ties"), 0)
+    for i in range(480):
+        g = random_decorated_graph(rng, max_vertices=4, max_extra_edges=3,
+                                   max_marks=3 if i % 4 else 0,
+                                   genus_range=(0 if i % 4 else 1, 6),
+                                   decorated=i % 3 > 0, connected=i % 2 > 0)
+        if i % 4 == 0:
+            # two copies of an unmarked graph, apart or joined by an edge
+            g = disjoint_union(g, g)
+            if i % 8:
+                g = DecoratedGraph(g.genera, g.legs,
+                                   g.edges + ((0, 0, g.n_vertices // 2, 0),), g.kappa)
+        perm = list(range(g.n_vertices))
+        rng.shuffle(perm)
+        for h in (g, relabeled(g, perm)):
+            _assert_search_matches_reference(h)
+        features["disconnected"] += component_count(g) > 1
+        features["self-loop"] += any(v1 == v2 for v1, _, v2, _ in g.edges)
+        ends = [(v1, v2) for v1, _, v2, _ in g.edges]
+        features["parallel edges"] += len(set(ends)) < len(ends)
+        features["non-discrete refinement"] += sum(1 for _ in candidate_orders_reference(g)) > 1
+        features["ties"] += graphs._canonical_search.__wrapped__(g)[2] > 1
+    assert min(features.values()) >= 30, features
 
 
 # --------------------------------------------------------------- automorphisms

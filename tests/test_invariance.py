@@ -9,6 +9,7 @@ import pytest
 from stratacalc import (
     AmbientSignature,
     DecoratedGraph,
+    InvalidGraphError,
     SignatureError,
     TautClass,
     arithmetic_genus,
@@ -421,3 +422,21 @@ def test_move_level_signature_check_matches_candidate_checks():
                 raised[want.split()[1 if "markings" in want else 2]] += 1
     # each check fails somewhere: genus, markings, 2 and 3 components
     assert all(raised[kind] for kind in ("arithmetic", "markings", "2", "3")), raised
+
+
+@pytest.mark.parametrize("graph", [
+    single_vertex(0, [1, 2]),                               # unstable vertex
+    DecoratedGraph((1,), ((0, 1, 0), (3, 2, 0)), ()),       # dangling leg
+    DecoratedGraph((2,), ((0, 1, 0), (0, 1, 1)), ()),       # duplicate marking
+    DecoratedGraph((1, 1), (), ((0, 0, 1, -1),)),           # negative psi on an edge
+])
+def test_user_supplied_invalid_graphs_are_rejected(graph):
+    """The public operator parts validate their input; only the verifier's
+    private stream of canonical boundary graphs skips that."""
+    diags = graph.validate()
+    assert diags
+    for call in (lambda: list(operator_candidates(graph)), lambda: cut_edges(graph),
+                 lambda: reduce_genus(graph), lambda: split_vertices(graph)):
+        with pytest.raises(InvalidGraphError) as exc:
+            call()
+        assert exc.value.diagnostics == diags

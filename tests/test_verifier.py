@@ -343,14 +343,14 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
 
 def _inject(monkeypatch, target, extras):
     """Append ``extras`` to the verifier's candidate stream of ``target``."""
-    real = verifier.operator_candidates
+    real = verifier._candidates_of_valid
 
     def stream(graph, *args, **kwargs):
         yield from real(graph, *args, **kwargs)
         if graph == target:
             yield from extras
 
-    monkeypatch.setattr(verifier, "operator_candidates", stream)
+    monkeypatch.setattr(verifier, "_candidates_of_valid", stream)
 
 
 # bare (edge-free, psi^0 on i and j) terms on the (5, {1, 2}) output ambient of
