@@ -311,18 +311,6 @@ class KappaNonvanishingReport:
     all_nondegenerate: bool
     axiom: str = "kappa_{g-2} != 0 in the interior ring (assumed, not verified)"
 
-    def to_obj(self) -> dict:
-        return {
-            "g": self.g,
-            "axiom": self.axiom,
-            "all_nondegenerate": self.all_nondegenerate,
-            "entries": [
-                {"l": e.l, "constant": str(e.constant),
-                 "nondegenerate": e.nondegenerate, "relation": e.relation}
-                for e in self.entries
-            ],
-        }
-
 
 def kappa_nonvanishing_report(g: int) -> KappaNonvanishingReport:
     """For each 0 <= l <= g-2, record c = faber_constant(g, l), check c != 1,

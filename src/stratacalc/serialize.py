@@ -99,18 +99,30 @@ def graph_from_obj(obj) -> DecoratedGraph:
         legs = tuple((_int(leg["vertex"]), m, _int(leg.get("psi", 0)))
                      for leg, m in zip(raw_legs, markings))
         edges = []
-        used_slots = set()
+        ends = []
         for e in obj.get("edges", ()):
             (v1, s1), (v2, s2) = e["ends"]
-            for v, s in ((v1, s1), (v2, s2)):
-                if (_int(v), _int(s)) in used_slots:
-                    raise InvalidGraphError(
-                        f"dangling half-edge: slot {s} at vertex {v} used twice")
-                used_slots.add((v, s))
+            ends += [(_int(v1), _int(s1)), (_int(v2), _int(s2))]
             p1, p2 = e.get("psi", (0, 0))
             edges.append((v1, _int(p1), v2, _int(p2)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed graph object: {exc}") from None
+    # legs take the leading slots of a vertex; its edge ends fill the rest once each
+    n_legs = {}
+    for v, _, _ in legs:
+        n_legs[v] = n_legs.get(v, 0) + 1
+    valence = dict(n_legs)
+    for v, _ in ends:
+        valence[v] = valence.get(v, 0) + 1
+    used_slots = set()
+    for v, s in ends:
+        if (v, s) in used_slots:
+            raise InvalidGraphError(f"dangling half-edge: slot {s} at vertex {v} used twice")
+        lo = n_legs.get(v, 0)
+        if not lo <= s < valence[v]:
+            raise InvalidGraphError(f"edge-end slot {s} at vertex {v} is outside its "
+                                    f"edge slots {lo}..{valence[v] - 1}")
+        used_slots.add((v, s))
     graph = DecoratedGraph(genera, legs, tuple(edges), kappa)
     graph.require_valid()
     return graph
@@ -155,11 +167,19 @@ def interior_to_obj(x: InteriorClass) -> dict:
     }
 
 
+def _marking_key(key) -> int:
+    """A psi key as ``interior_to_obj`` writes it: ``str(m)`` for a marking m >= 1."""
+    m = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else 0
+    if m < 1 or str(m) != key:
+        raise ValueError(f"psi key {key!r} is not a positive marking in plain decimal")
+    return m
+
+
 def monomial_from_obj(obj) -> InteriorMonomial:
-    """``{"kappa": [INT, ...], "psi": {"MARK": INT}}`` as a monomial; the psi
-    keys are decimal strings, as JSON object keys always are."""
+    """``{"kappa": [INT, ...], "psi": {"MARK": INT}}`` as a monomial; each psi
+    key is a marking as ``str(m)`` writes it, since JSON object keys are strings."""
     return InteriorMonomial(tuple(_int(k) for k in obj.get("kappa", ())),
-                            {int(m): _int(e) for m, e in obj.get("psi", {}).items()})
+                            {_marking_key(m): _int(e) for m, e in obj.get("psi", {}).items()})
 
 
 def interior_from_obj(obj) -> InteriorClass:

@@ -11,9 +11,9 @@ For each degree-k generator monomial the verifier either
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
 Induction-hypothesis inputs are recorded as named assumptions, not
-re-verified, unless ``recursive=True`` re-checks the named sub-instances down
-to the trivial genera; a sub-instance past the budget or a size guard is
-reported as not checked, and the run does not pass.
+re-verified, unless ``recursive=True`` re-checks the named sub-instances; a
+sub-instance past the budget, a size guard or the range k <= [g/3] is reported
+as not checked, and the run does not pass.
 """
 
 from __future__ import annotations
@@ -103,51 +103,35 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
 
 # ------------------------------------------------------------------ witnesses
 
-def witness_graph_for(mono: InteriorMonomial, g: int, n: int) -> DecoratedGraph | None:
-    """The 2-component witness term for ``mono``, or ``None`` when the monomial
-    is handled by the kappa-nonvanishing or linear-system branch instead.
-
-    Labels i and j are the markings n+1 and n+2.
-    """
+def _witness_parts(mono: InteriorMonomial, g: int, n: int):
+    """The witness term for ``mono`` as two single-vertex components
+    ``(genus, legs, kappa)``, or ``None``; labels i and j are n+1 and n+2."""
     k = mono.degree
     top = g // 3
     if not 1 <= k <= top:
         raise ValueError(f"witness degree must lie in 1..floor(g/3), got {k}")
     i_lab, j_lab = n + 1, n + 2
     psi = mono.psi_dict()
+    marks = [(m, psi.get(m, 0)) for m in range(1, n + 1)]
 
     if k < top:
         # generic split: everything on the genus g-1 part, bare genus-1 partner
-        part1 = single_vertex(g - 1,
-                              [(m, psi.get(m, 0)) for m in range(1, n + 1)]
-                              + [(i_lab, 0)],
-                              mono.kappa)
-        part2 = single_vertex(1, [(j_lab, 0)])
-        return disjoint_union(part1, part2)
+        return (g - 1, marks + [(i_lab, 0)], mono.kappa), (1, [(j_lab, 0)], ())
 
     if not psi:   # top degree, pure kappa
         if n >= 2:
             # genus splits off nothing: (g, 0) with the last two markings moved
-            part1 = single_vertex(g,
-                                  [(m, 0) for m in range(1, n - 1)] + [(i_lab, 0)],
-                                  mono.kappa)
-            part2 = single_vertex(0, [(n - 1, 0), (n, 0), (j_lab, 0)])
-            return disjoint_union(part1, part2)
+            return ((g, marks[:-2] + [(i_lab, 0)], mono.kappa),
+                    (0, marks[-2:] + [(j_lab, 0)], ()))
         if mono.kappa == (k,):
             return None   # single top kappa generator: no witness at n <= 1
         d1 = mono.kappa[0]
-        legs1 = [(i_lab, 0)] + ([(1, 0)] if n == 1 else [])
-        part1 = single_vertex(3 * d1, legs1, (d1,))
-        part2 = single_vertex(g - 3 * d1, [(j_lab, 0)], mono.kappa[1:])
-        return disjoint_union(part1, part2)
+        return ((3 * d1, [(i_lab, 0)] + marks, (d1,)),
+                (g - 3 * d1, [(j_lab, 0)], mono.kappa[1:]))
 
     if mono.kappa:   # top degree, mixed kappa * psi
         d_i = sum(mono.kappa)
-        part1 = single_vertex(3 * d_i, [(i_lab, 0)], mono.kappa)
-        part2 = single_vertex(g - 3 * d_i,
-                              [(m, psi.get(m, 0)) for m in range(1, n + 1)]
-                              + [(j_lab, 0)])
-        return disjoint_union(part1, part2)
+        return (3 * d_i, [(i_lab, 0)], mono.kappa), (g - 3 * d_i, marks + [(j_lab, 0)], ())
 
     # top degree, pure psi
     support = sorted(psi)
@@ -155,44 +139,41 @@ def witness_graph_for(mono: InteriorMonomial, g: int, n: int) -> DecoratedGraph 
         return None   # psi_l^k: handled by the linear system
     m0 = support[0]
     d1 = psi[m0]
-    legs1 = ([(m0, d1)]
-             + [(m, 0) for m in range(1, n + 1) if m != m0 and psi.get(m, 0) == 0]
-             + [(i_lab, 0)])
+    legs1 = [(m0, d1)] + [(m, 0) for m, p in marks if not p] + [(i_lab, 0)]
     legs2 = [(m, psi[m]) for m in support[1:]] + [(j_lab, 0)]
-    part1 = single_vertex(3 * d1, legs1)
-    part2 = single_vertex(g - 3 * d1, legs2)
-    return disjoint_union(part1, part2)
+    return (3 * d1, legs1, ()), (g - 3 * d1, legs2, ())
 
 
-def _witness_assumptions(mono: InteriorMonomial, g: int, n: int):
+def witness_graph_for(mono: InteriorMonomial, g: int, n: int) -> DecoratedGraph | None:
+    """The 2-component witness term for ``mono``, or ``None`` when the monomial
+    is handled by the kappa-nonvanishing or linear-system branch instead."""
+    parts = _witness_parts(mono, g, n)
+    return None if parts is None else disjoint_union(*(single_vertex(*p) for p in parts))
+
+
+def _witness_assumptions(mono: InteriorMonomial, g: int, n: int, witness: DecoratedGraph):
     """Named induction inputs used by the witness argument for ``mono``.
 
-    Returns (instance list, note list, extrapolated flag); instances are
-    (genus, markings, degree) triples whose independence is assumed.
+    Returns (instance list, note list, extrapolated flag).  The instances are
+    read off ``witness`` as built or given: each of its components of positive
+    degree, by least vertex, is a (arithmetic genus, legs, degree) triple whose
+    independence is assumed.
     """
+    insts = []
+    for comp in sorted(witness.components(), key=min):
+        legs = [p for v, _, p in witness.legs if v in comp]
+        ends = [p1 + p2 + 1 for v1, p1, _, p2 in witness.edges if v1 in comp]
+        degree = sum(legs) + sum(ends) + sum(sum(witness.kappa[v]) for v in comp)
+        if degree:
+            genus = sum(witness.genera[v] for v in comp) + len(ends) - len(comp) + 1
+            insts.append((genus, len(legs), degree))
     k = mono.degree
-    top = g // 3
-    psi = mono.psi_dict()
-    if k < top:
-        return ([(g - 1, n + 1, k)], [], n >= 2)
-    if not psi:
-        if n >= 2:
-            return ([(g, n - 1, k)], [], False)
-        d1 = mono.kappa[0]
-        return ([(3 * d1, 2 if n == 1 else 1, d1), (g - 3 * d1, 1, k - d1)], [], False)
-    if mono.kappa:
+    notes = []
+    if k == g // 3 and mono.kappa and mono.psi:
         d_i = sum(mono.kappa)
-        d_j = k - d_i
-        note = (f"psi_1^{d_j} and psi_2^{d_j} stay distinct on the 2-marked "
-                f"genus-{g - 3 * d_i} part (ring-level input, assumed)")
-        return ([(3 * d_i, 1, d_i), (g - 3 * d_i, n + 1, d_j)], [note], False)
-    support = sorted(psi)
-    m0 = support[0]
-    d1 = psi[m0]
-    d2 = k - d1
-    n1 = 1 + sum(1 for m in range(1, n + 1) if m != m0 and psi.get(m, 0) == 0) + 1
-    n2 = len(support[1:]) + 1
-    return ([(3 * d1, n1, d1), (g - 3 * d1, n2, d2)], [], False)
+        notes.append(f"psi_1^{k - d_i} and psi_2^{k - d_i} stay distinct on the 2-marked "
+                     f"genus-{g - 3 * d_i} part (ring-level input, assumed)")
+    return insts, notes, k < g // 3 and n >= 2
 
 
 # -------------------------------------------------------------- linear system
@@ -380,7 +361,7 @@ class VerificationReport:
     structural_violations: tuple[str, ...]
     sub_instances: tuple[tuple[int, int, int, bool], ...] = ()
     passed: bool = False
-    # assumed sub-instances left unchecked: (g, n, k, "budget" | "guard")
+    # assumed sub-instances left unchecked: (g, n, k, "budget" | "guard" | "range")
     not_checked: tuple[tuple[int, int, int, str], ...] = ()
 
     @property
@@ -475,9 +456,9 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     for mono in gens:
         witness = (witness_overrides[mono] if mono in witness_overrides
                    else witness_graph_for(mono, g, n))
-        witness_of[mono] = None if witness is None else canonicalize(witness)
+        witness_of[mono] = None if witness is None else (witness, *canonicalize(witness))
         if witness is not None:
-            shapes.add(_shape(witness_of[mono][1], i_lab, j_lab))
+            shapes.add(_shape(witness_of[mono][2], i_lab, j_lab))
     out_amb = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
 
     def kept(G):
@@ -493,7 +474,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     # each boundary image is read once: its terms at a witness form fill that
     # witness's boundary column, its bare terms are structural violations
     # (boundary images keep an edge or a psi on the new legs)
-    hits = {w[0]: [] for w in witness_of.values() if w is not None}
+    hits = {w[1]: [] for w in witness_of.values() if w is not None}
     structural_violations = []
     for b, G in enumerate(bgraphs):
         for form, graph, coeff in TautClass(out_amb, kept(G)).items():
@@ -507,7 +488,6 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     system_cache: SystemReport | None = None
     entries = []
     assumed_instances: set[tuple[int, int, int]] = set()
-    witnesses: list[DecoratedGraph] = []
 
     for mono in gens:
         if witness_of[mono] is None:
@@ -534,8 +514,13 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             continue
 
         violations = []
-        form, canon = witness_of[mono]
-        witnesses.append(canon)
+        witness, form, canon = witness_of[mono]
+        # the structural zero-coefficient argument, asserted independently of
+        # the coefficient extraction: witnesses are edge-free with psi^0 on the
+        # new legs, where no boundary image term may lie
+        if _shape(canon, i_lab, j_lab) != _BARE:
+            structural_violations.append(
+                f"witness {form.hex()[:16]} is not edge-free with psi^0 on the new legs")
         self_coeff = op_of_gen[mono].coefficient_of(canon)
         if self_coeff == 0:
             violations.append("witness has zero coefficient in its own image")
@@ -555,7 +540,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             violations.append(
                 f"witness appears in the image of boundary graph "
                 f"{canonicalize(bgraphs[b])[0].hex()[:16]} with coefficient {coeff}")
-        insts, notes, extrapolated = _witness_assumptions(mono, g, n)
+        insts, notes, extrapolated = _witness_assumptions(mono, g, n, witness)
         assumed_instances.update(insts)
         assumption_strs = tuple(
             f"independence of degree-{ik} generator monomials on (g={ig}, n={im})"
@@ -569,14 +554,6 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             assumptions=assumption_strs, extrapolated=extrapolated,
             violations=tuple(violations)))
 
-    # the structural zero-coefficient argument, asserted independently of the
-    # coefficient extraction above: witnesses are edge-free with psi^0 on the
-    # new legs, where no boundary image term may lie
-    for w in witnesses:
-        if _shape(w, i_lab, j_lab) != _BARE:
-            structural_violations.append(
-                f"witness {canonicalize(w)[0].hex()[:16]} is not edge-free with "
-                f"psi^0 on the new legs")
     structural_ok = not structural_violations
 
     sub_results = []
@@ -590,9 +567,10 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             ig, im, ik = inst
             if inst in seen:
                 continue
-            if ig < 3 or ik < 1:
-                continue   # trivial base cases
             seen.add(inst)
+            if ik > ig // 3:   # only an override assumes one: outside the theorem
+                not_checked.append(inst + ("range",))
+                continue
             if len(seen) > _RECURSION_BUDGET:
                 not_checked.append(inst + ("budget",))
                 continue

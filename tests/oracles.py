@@ -10,6 +10,9 @@ former witness extraction, which reads every coefficient from the full
 operator image of every boundary graph, and ``targeted_image_reference``
 its former targeted extraction, which builds and signature-checks every
 candidate of a boundary graph and keeps those of a wanted shape.
+``witness_graph_reference`` and ``witness_assumptions_reference`` keep the
+verifier's former witness table, which wrote the case split twice: once to
+build each witness and once to name its induction inputs from the monomial.
 ``relabeled`` permutes the vertices of a graph.  The ``*_candidates_reference``
 streams keep the operator's former candidate generators, which build every
 candidate and keep those that ``validate()`` accepts.  The ``*_reference``
@@ -39,6 +42,7 @@ from stratacalc.graphs import (
     canonicalize,
     component_count,
     compositions,
+    disjoint_union,
     single_vertex,
 )
 from stratacalc.invariance import invariance_operator, operator_candidates
@@ -320,6 +324,102 @@ def targeted_image_reference(graph: DecoratedGraph, ambient: AmbientSignature,
                 yield cand, coeff
 
     return TautClass(ambient, kept())
+
+
+# ----------------------------------------------------------- witness table
+
+def witness_graph_reference(mono: InteriorMonomial, g: int, n: int) -> DecoratedGraph | None:
+    """The 2-component witness term for ``mono``, or ``None`` when the monomial
+    is handled by the kappa-nonvanishing or linear-system branch instead;
+    written out case by case.
+
+    Labels i and j are the markings n+1 and n+2.
+    """
+    k = mono.degree
+    top = g // 3
+    if not 1 <= k <= top:
+        raise ValueError(f"witness degree must lie in 1..floor(g/3), got {k}")
+    i_lab, j_lab = n + 1, n + 2
+    psi = mono.psi_dict()
+
+    if k < top:
+        # generic split: everything on the genus g-1 part, bare genus-1 partner
+        part1 = single_vertex(g - 1,
+                              [(m, psi.get(m, 0)) for m in range(1, n + 1)]
+                              + [(i_lab, 0)],
+                              mono.kappa)
+        part2 = single_vertex(1, [(j_lab, 0)])
+        return disjoint_union(part1, part2)
+
+    if not psi:   # top degree, pure kappa
+        if n >= 2:
+            # genus splits off nothing: (g, 0) with the last two markings moved
+            part1 = single_vertex(g,
+                                  [(m, 0) for m in range(1, n - 1)] + [(i_lab, 0)],
+                                  mono.kappa)
+            part2 = single_vertex(0, [(n - 1, 0), (n, 0), (j_lab, 0)])
+            return disjoint_union(part1, part2)
+        if mono.kappa == (k,):
+            return None   # single top kappa generator: no witness at n <= 1
+        d1 = mono.kappa[0]
+        legs1 = [(i_lab, 0)] + ([(1, 0)] if n == 1 else [])
+        part1 = single_vertex(3 * d1, legs1, (d1,))
+        part2 = single_vertex(g - 3 * d1, [(j_lab, 0)], mono.kappa[1:])
+        return disjoint_union(part1, part2)
+
+    if mono.kappa:   # top degree, mixed kappa * psi
+        d_i = sum(mono.kappa)
+        part1 = single_vertex(3 * d_i, [(i_lab, 0)], mono.kappa)
+        part2 = single_vertex(g - 3 * d_i,
+                              [(m, psi.get(m, 0)) for m in range(1, n + 1)]
+                              + [(j_lab, 0)])
+        return disjoint_union(part1, part2)
+
+    # top degree, pure psi
+    support = sorted(psi)
+    if len(support) == 1:
+        return None   # psi_l^k: handled by the linear system
+    m0 = support[0]
+    d1 = psi[m0]
+    legs1 = ([(m0, d1)]
+             + [(m, 0) for m in range(1, n + 1) if m != m0 and psi.get(m, 0) == 0]
+             + [(i_lab, 0)])
+    legs2 = [(m, psi[m]) for m in support[1:]] + [(j_lab, 0)]
+    part1 = single_vertex(3 * d1, legs1)
+    part2 = single_vertex(g - 3 * d1, legs2)
+    return disjoint_union(part1, part2)
+
+
+def witness_assumptions_reference(mono: InteriorMonomial, g: int, n: int):
+    """Named induction inputs used by the default witness argument for
+    ``mono``, read off the monomial case by case.
+
+    Returns (instance list, note list, extrapolated flag); instances are
+    (genus, markings, degree) triples whose independence is assumed.
+    """
+    k = mono.degree
+    top = g // 3
+    psi = mono.psi_dict()
+    if k < top:
+        return ([(g - 1, n + 1, k)], [], n >= 2)
+    if not psi:
+        if n >= 2:
+            return ([(g, n - 1, k)], [], False)
+        d1 = mono.kappa[0]
+        return ([(3 * d1, 2 if n == 1 else 1, d1), (g - 3 * d1, 1, k - d1)], [], False)
+    if mono.kappa:
+        d_i = sum(mono.kappa)
+        d_j = k - d_i
+        note = (f"psi_1^{d_j} and psi_2^{d_j} stay distinct on the 2-marked "
+                f"genus-{g - 3 * d_i} part (ring-level input, assumed)")
+        return ([(3 * d_i, 1, d_i), (g - 3 * d_i, n + 1, d_j)], [note], False)
+    support = sorted(psi)
+    m0 = support[0]
+    d1 = psi[m0]
+    d2 = k - d1
+    n1 = 1 + sum(1 for m in range(1, n + 1) if m != m0 and psi.get(m, 0) == 0) + 1
+    n2 = len(support[1:]) + 1
+    return ([(3 * d1, n1, d1), (g - 3 * d1, n2, d2)], [], False)
 
 
 # ------------------------------------------------- operator candidate streams

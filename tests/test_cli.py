@@ -189,6 +189,84 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("invalid input: malformed ") and err.count("\n") == 1
 
 
+BAD_PSI_KEYS = ["1_0", " 2", "+1", "01", "\u0661", "0", "-1", "1.0", ""]
+
+
+@pytest.mark.parametrize("key", BAD_PSI_KEYS)
+def test_push_refuses_a_psi_key_not_written_as_str_of_a_marking(tmp_path, capsys, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(
+        {"g": 3, "n": 2, "terms": [{"coeff": "1", "kappa": [], "psi": {key: 1}}]}))
+    assert run("push", "--forget", 1, "--in", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: malformed interior class object: ")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("key", BAD_PSI_KEYS)
+def test_witness_table_refuses_a_psi_key_not_written_as_str_of_a_marking(
+        tmp_path, capsys, key):
+    table = load_file(FIXTURES / "corrupt_witness_table.json")
+    table["overrides"][0]["monomial"] = {"kappa": [], "psi": {key: 1}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert run("verify", "--g", 6, "--n", 1, "--k", 1, "--witness-table", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: malformed witness table: ")
+    assert repr(key) in err
+
+
+def test_push_refuses_two_keys_for_one_marking(tmp_path, capsys):
+    # "01" would otherwise collapse onto "1" and drop psi_1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(
+        {"g": 3, "n": 2, "terms": [{"coeff": "1", "kappa": [], "psi": {"1": 1, "01": 2}}]}))
+    assert run("push", "--forget", 1, "--in", path) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _one_edge_class(ends):
+    # genus-1 vertex 0 with leg 1 (slot 0), joined to a genus-1 vertex 1
+    return {"ambient": {"genus": 2, "markings": [1], "max_components": 1},
+            "terms": [{"coeff": "1", "graph": {
+                "vertices": [{"genus": 1, "kappa": []}, {"genus": 1, "kappa": []}],
+                "legs": [{"vertex": 0, "marking": 1, "psi": 0}],
+                "edges": [{"ends": ends, "psi": [0, 0]}]}}]}
+
+
+@pytest.mark.parametrize("ends, message", [
+    ([[0, 1], [1, 0]], None),                               # the slots graph_to_obj writes
+    ([[0, 0], [1, 0]], "edge-end slot 0 at vertex 0"),      # leg 1's slot
+    ([[0, -7], [1, 0]], "edge-end slot -7 at vertex 0"),
+    ([[0, 2], [1, 0]], "edge-end slot 2 at vertex 0"),      # past the valence
+    ([[0, 1], [1, 1]], "edge-end slot 1 at vertex 1"),
+])
+def test_r1_checks_edge_end_slots(tmp_path, capsys, ends, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_one_edge_class(ends)))
+    code = run("r1", "--in", path, "--out", tmp_path / "out.json")
+    if message is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_r1_refuses_a_self_loop_on_a_leg_slot(tmp_path, capsys):
+    obj = _one_edge_class([[0, 0], [0, -7]])
+    graph = obj["terms"][0]["graph"]
+    graph["vertices"] = [{"genus": 1, "kappa": []}]
+    obj["ambient"]["genus"] = 2
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run("r1", "--in", path) == 2
+    assert "edge-end slot 0 at vertex 0" in capsys.readouterr().err
+    graph["edges"][0]["ends"] = [[0, 1], [0, 1]]
+    path.write_text(json.dumps(obj))
+    assert run("r1", "--in", path) == 2
+    assert "slot 1 at vertex 0 used twice" in capsys.readouterr().err
+
+
 # sha256 of the ``verify --report`` bytes of the instances where the operator
 # streams skip the most candidates
 REPORT_DIGESTS = {

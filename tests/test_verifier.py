@@ -25,7 +25,12 @@ from stratacalc import (
 from stratacalc import verifier
 from stratacalc.invariance import operator_candidates
 
-from oracles import full_image_extraction, targeted_image_reference
+from oracles import (
+    full_image_extraction,
+    targeted_image_reference,
+    witness_assumptions_reference,
+    witness_graph_reference,
+)
 
 
 def mono(kappa=(), psi=None):
@@ -227,6 +232,76 @@ def test_verify_alternative_valid_witness_still_passes():
     rep = verify_witness_independence(
         6, 0, 1, witness_overrides={mono((1,)): ALT_WITNESS})
     assert rep.passed
+
+
+def test_witness_table_matches_reference_sweep():
+    """One table gives the witness and its induction inputs: on every generator
+    monomial of the guarded range the witness graph equals the former
+    case-by-case one, and the inputs read off it equal those the former case
+    split named from the monomial."""
+    count = 0
+    for g in range(3, 31):
+        for n in range(9):
+            for k in range(1, min(3, g // 3) + 1):
+                for m in generator_monomials(g, n, k):
+                    count += 1
+                    witness = witness_graph_for(m, g, n)
+                    assert witness == witness_graph_reference(m, g, n), (g, n, m)
+                    if witness is not None:
+                        insts, notes, extrapolated = verifier._witness_assumptions(
+                            m, g, n, witness)
+                        assert (insts, notes, extrapolated) == \
+                            witness_assumptions_reference(m, g, n), (g, n, m)
+    assert count == 17688
+
+
+def test_override_assumptions_are_read_off_the_override():
+    # the (4,2) split assumes the genus-4 part; the default (5,1) split's
+    # instance is not assumed
+    rep = verify_witness_independence(
+        6, 0, 1, witness_overrides={mono((1,)): ALT_WITNESS})
+    (entry,) = rep.entries
+    assert entry.assumptions == (
+        "independence of degree-1 generator monomials on (g=4, n=1)",)
+
+
+# kappa_2 on (6, 1, 2) has no default witness; this one splits it as
+# kappa_1 on a (3, {i}) part and kappa_1 on a (3, {1, j}) part
+KAPPA2_WITNESS = disjoint_union(single_vertex(3, [(2, 0)], (1,)),
+                                single_vertex(3, [(1, 0), (3, 0)], (1,)))
+
+
+def test_override_without_default_witness_assumes_its_own_split():
+    overrides = {mono((2,)): KAPPA2_WITNESS}
+    rep = verify_witness_independence(6, 1, 2, witness_overrides=overrides)
+    entry = next(e for e in rep.entries if e.monomial == "kappa_2")
+    assert entry.branch == "witness-split"
+    assert entry.assumptions == (
+        "independence of degree-1 generator monomials on (g=3, n=1)",
+        "independence of degree-1 generator monomials on (g=3, n=2)")
+    assert not any("(g=6, n=2)" in a or "(g=0, n=1)" in a for a in entry.assumptions)
+    rec = verify_witness_independence(6, 1, 2, recursive=True,
+                                      witness_overrides=overrides)
+    assert [inst[:3] for inst in rec.sub_instances] == [(3, 1, 1), (3, 2, 1)]
+    assert rec.not_checked == ()
+
+
+def test_recursive_lists_an_override_instance_outside_the_range():
+    # BOGUS_WITNESS puts kappa_2 on a genus-5 part: degree 2 > [5/3]
+    rep = verify_witness_independence(
+        6, 0, 1, recursive=True, witness_overrides={mono((1,)): BOGUS_WITNESS})
+    assert rep.entries[0].assumptions == (
+        "independence of degree-2 generator monomials on (g=5, n=1)",)
+    assert rep.sub_instances == ()
+    assert rep.not_checked == ((5, 1, 2, "range"),)
+    assert not rep.passed
+
+
+def test_assumptions_count_edges_and_skip_degree_zero_parts():
+    # EDGE_WITNESS: a (4,{i}) vertex joined to a (1) vertex, and a bare (1,{j})
+    # part of degree 0; the edge adds one to the genus and one to the degree
+    insts, _, _ = verifier._witness_assumptions(mono((1,)), 6, 0, EDGE_WITNESS)
+    assert insts == [(5, 1, 1)]
 
 
 def test_verify_corrupted_witness_fails_cleanly():
