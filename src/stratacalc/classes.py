@@ -197,25 +197,6 @@ class TautClass(_LinearCombination):
     def scale(self, coeff) -> "TautClass":
         return TautClass._of(self.ambient, _scaled(self._terms, coeff), self._graphs)
 
-    def mul_psi(self, marking: int) -> "TautClass":
-        """Multiply by the psi class at ``marking``.
-
-        Interior-only: every term must be a smooth single-vertex graph; any
-        term with an edge is rejected (boundary psi comparisons are out of
-        scope for this calculus).
-        """
-        if marking not in self.ambient.markings:
-            raise SignatureError(f"marking {marking} is not in the ambient")
-        new_terms = []
-        for _, graph, coeff in self.items():
-            if graph.n_edges or graph.n_vertices != 1:
-                raise SignatureError(
-                    "mul_psi is restricted to interior (single-vertex, edge-free) classes")
-            legs = tuple((v, m, p + 1 if m == marking else p)
-                         for v, m, p in graph.legs)
-            new_terms.append((DecoratedGraph(graph.genera, legs, (), graph.kappa), coeff))
-        return TautClass(self.ambient, new_terms)
-
     def __repr__(self):
         return (f"TautClass(genus={self.ambient.genus}, "
                 f"markings={self.ambient.marking_tuple()}, terms={len(self)})")

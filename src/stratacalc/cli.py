@@ -118,7 +118,10 @@ def _load_witness_table(path):
     obj = load_file(path)
     try:
         for entry in obj.get("overrides", ()):
-            table[monomial_from_obj(entry["monomial"])] = graph_from_obj(entry["graph"])
+            mono = monomial_from_obj(entry["monomial"])
+            if mono in table:
+                raise ValueError(f"monomial {mono} is listed twice")
+            table[mono] = graph_from_obj(entry["graph"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed witness table: {exc}") from None
     return table

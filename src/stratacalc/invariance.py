@@ -50,30 +50,27 @@ __all__ = [
 ]
 
 
-def _fresh_labels(markings) -> tuple[int, int]:
+def _output_signature(genus: int, markings, labels=None):
+    """New leg labels (i, j), by default the two integers after the largest
+    marking, and the output ambient (genus - 1, markings + {i, j}, 2)."""
     base = max(markings, default=0)
-    return base + 1, base + 2
-
-
-def _output_ambient(graph: DecoratedGraph, labels) -> AmbientSignature:
+    labels = labels or (base + 1, base + 2)
     i_lab, j_lab = labels
     if i_lab == j_lab or i_lab < 1 or j_lab < 1:
         raise SignatureError(f"new leg labels must be distinct positive markings, "
                              f"got {labels}")
-    if {i_lab, j_lab} & set(graph.markings()):
+    if {i_lab, j_lab} & set(markings):
         raise SignatureError(f"new leg labels {labels} collide with existing markings")
-    # genus-0 inputs land on a genus -1 ambient, which can only hold the
-    # zero class (the candidate streams of a genus-0 graph are empty)
-    pa = arithmetic_genus(graph)
-    return AmbientSignature(pa - 1, frozenset(graph.markings()) | set(labels), 2)
+    return labels, AmbientSignature(genus - 1, frozenset(markings) | set(labels), 2)
 
 
 def _prepare(graph: DecoratedGraph, level: int, labels):
     """New leg labels and output ambient of a valid input graph."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    labels = labels or _fresh_labels(set(graph.markings()))
-    return labels, _output_ambient(graph, labels)
+    # genus-0 inputs land on a genus -1 ambient, which can only hold the
+    # zero class (the candidate streams of a genus-0 graph are empty)
+    return _output_signature(arithmetic_genus(graph), graph.markings(), labels)
 
 
 def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
@@ -202,13 +199,14 @@ def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
     it before the first is yielded; otherwise checks are left to the consumer.
     """
     graph.require_valid()
+    labels, _ = _prepare(graph, level, labels)
     yield from _candidates_of_valid(graph, level, labels, shapes, ambient)
 
 
-def _candidates_of_valid(graph, level=1, labels=None, shapes=None, ambient=None):
+def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
     """``operator_candidates`` of a graph already known to be valid, such as
-    a canonical representative (``canonicalize`` validated its input)."""
-    labels, _ = _prepare(graph, level, labels)
+    a canonical representative (``canonicalize`` validated its input), with
+    level and labels already checked."""
     if ambient is not None:
         # all candidates share genus and markings and have at most one more
         # component than graph: below the bound the first stands for all
@@ -228,9 +226,7 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
         raise SignatureError("the genus-lowering operator expects a connected ambient")
     if level < 1:
         raise ValueError("level must be >= 1")
-    labels = _fresh_labels(x.ambient.markings)
-    out = AmbientSignature(x.ambient.genus - 1,
-                           x.ambient.markings | set(labels), 2)
+    labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
     return TautClass(out, ((cand, coeff * c)
                            for _, graph, coeff in x.items()
                            for stream in streams

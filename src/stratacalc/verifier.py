@@ -4,9 +4,10 @@ For each degree-k generator monomial the verifier either
 
 * builds its witness graph (the 2-component, edge-free term that the
   genus-lowering operator produces from that monomial and from no other
-  generator), extracts the witness coefficient from the operator output of
-  every generator and every degree-k decorated boundary graph, and checks the
-  self-coefficient is nonzero while all others vanish ("witness-split"); or
+  generator), reads the witness coefficient off the operator image of every
+  generator and every degree-k decorated boundary graph, each image built once
+  and the same way, from the terms of witness or bare shape only, and checks
+  the self-coefficient is nonzero while all others vanish ("witness-split"); or
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import AmbientSignature, TautClass, monomial_class
+from .classes import TautClass, monomial_class
 from .errors import SizeGuardError
 from .graphs import (
     CanonicalForm,
@@ -33,7 +34,7 @@ from .graphs import (
     enumerate_stable_graphs,
     single_vertex,
 )
-from .invariance import _candidates_of_valid, invariance_operator
+from .invariance import _candidates_of_valid, _output_signature
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
@@ -441,16 +442,16 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             f"instance (g={g}, n={n}, k={k}) exceeds the desk-scale guard "
             f"(g <= {_MAX_G}, n <= {_MAX_N}, k <= {_MAX_K})")
     witness_overrides = witness_overrides or {}
-    i_lab, j_lab = n + 1, n + 2
+    (i_lab, j_lab), out_amb = _output_signature(g, range(1, n + 1))
 
     gens = generator_monomials(g, n, k)
+    unused = sorted(set(witness_overrides) - set(gens))
+    if unused:
+        raise ValueError(f"witness table names no generator of (g={g}, n={n}, k={k}): "
+                         f"{', '.join(map(str, unused))}")
     bgraphs = boundary_generators(g, n, k)
-    op_of_gen = {
-        mono: invariance_operator(monomial_class(g, n, mono.kappa, mono.psi_dict()))
-        for mono in gens
-    }
-    # boundary images are read only at the witnesses and, for the structural
-    # check, at bare terms
+    # images are read only at the witnesses and, for the structural check, at
+    # bare terms
     witness_of = {}
     shapes = {_BARE}
     for mono in gens:
@@ -459,28 +460,21 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
         witness_of[mono] = None if witness is None else (witness, *canonicalize(witness))
         if witness is not None:
             shapes.add(_shape(witness_of[mono][2], i_lab, j_lab))
-    out_amb = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
 
-    def kept(G):
-        # G is a canonical representative, so valid; only moves of these shapes
-        # are built, but every move's signature is checked; what the stream
-        # yields is checked and filtered again
-        for cand, coeff in _candidates_of_valid(G, labels=(i_lab, j_lab),
-                                                shapes=shapes, ambient=out_amb):
-            out_amb.check(cand)
-            if _shape(cand, i_lab, j_lab) in shapes:
-                yield cand, coeff
-
-    # each boundary image is read once: its terms at a witness form fill that
-    # witness's boundary column, its bare terms are structural violations
-    # (boundary images keep an edge or a psi on the new legs)
-    hits = {w[1]: [] for w in witness_of.values() if w is not None}
+    # the rows are the generator graphs, then the boundary graphs; each row's
+    # image is read once: its terms at a witness form fill that witness's row,
+    # and bare terms of a boundary image are structural violations (boundary
+    # images keep an edge or a psi on the new legs)
+    rows = {w[1]: {} for w in witness_of.values() if w is not None}
     structural_violations = []
-    for b, G in enumerate(bgraphs):
-        for form, graph, coeff in TautClass(out_amb, kept(G)).items():
-            if form in hits:
-                hits[form].append((b, coeff))
-            if _shape(graph, i_lab, j_lab) == _BARE:
+    gen_graphs = [G for mono in gens
+                  for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
+    for r, G in enumerate(gen_graphs + bgraphs):
+        image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb)
+        for form, graph, coeff in TautClass(out_amb, image).items():
+            if form in rows:
+                rows[form][r] = coeff
+            if r >= len(gens) and _shape(graph, i_lab, j_lab) == _BARE:
                 structural_violations.append(
                     f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} "
                     f"has no edge and psi^0 on both new legs")
@@ -521,21 +515,22 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
         if _shape(canon, i_lab, j_lab) != _BARE:
             structural_violations.append(
                 f"witness {form.hex()[:16]} is not edge-free with psi^0 on the new legs")
-        self_coeff = op_of_gen[mono].coefficient_of(canon)
+        row = rows[form]   # row number -> non-zero coefficient, in row order
+        self_coeff = row.get(gens.index(mono), Fraction(0))
         if self_coeff == 0:
             violations.append("witness has zero coefficient in its own image")
         gen_coeffs = []
-        for other in gens:
+        for r, other in enumerate(gens):
             if other == mono:
                 continue
-            coeff = op_of_gen[other].coefficient_of(canon)
+            coeff = row.get(r, Fraction(0))
             gen_coeffs.append((str(other), str(coeff)))
             if coeff != 0:
                 violations.append(
                     f"witness also appears in the image of {other} "
                     f"with coefficient {coeff}")
         bnd_coeffs = ["0"] * len(bgraphs)
-        for b, coeff in hits[form]:
+        for b, coeff in ((r - len(gens), c) for r, c in row.items() if r >= len(gens)):
             bnd_coeffs[b] = str(coeff)
             violations.append(
                 f"witness appears in the image of boundary graph "

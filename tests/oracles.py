@@ -232,11 +232,12 @@ def _leg_psi(graph: DecoratedGraph, marking: int) -> int:
 
 
 def full_image_extraction(g: int, n: int, k: int, witness_overrides=None,
-                          boundary_image=None):
+                          boundary_image=None, generator_image=None):
     """Witness coefficients and structural check read off full operator images.
 
-    ``boundary_image(G)`` gives the image class of boundary graph ``G``; the
-    default is ``invariance_operator`` of ``G`` itself.  Returns
+    ``boundary_image(G)`` gives the image class of boundary graph ``G``, and
+    ``generator_image(mono)`` that of generator monomial ``mono``; the defaults
+    are ``invariance_operator`` of ``G`` and of the monomial's class.  Returns
     ``(rows, structural_violations)``: ``rows`` maps each witness-split
     monomial string to its (self coefficient, generator coefficients,
     boundary coefficients, violations), all as the report renders them.
@@ -249,12 +250,13 @@ def full_image_extraction(g: int, n: int, k: int, witness_overrides=None,
         def boundary_image(G):
             return invariance_operator(TautClass(amb, [(G, 1)]))
 
+    if generator_image is None:
+        def generator_image(mono):
+            return invariance_operator(monomial_class(g, n, mono.kappa, mono.psi_dict()))
+
     gens = generator_monomials(g, n, k)
     bgraphs = boundary_generators(g, n, k)
-    op_of_gen = {
-        mono: invariance_operator(monomial_class(g, n, mono.kappa, mono.psi_dict()))
-        for mono in gens
-    }
+    op_of_gen = {mono: generator_image(mono) for mono in gens}
     op_of_boundary = [boundary_image(G) for G in bgraphs]
 
     rows = {}

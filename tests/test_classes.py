@@ -178,28 +178,6 @@ def test_degree_examples():
     assert zero_class(amb).degree() == ZERO_DEGREE
 
 
-# ------------------------------------------------------------------ mul_psi
-
-def test_mul_psi_kappa_term():
-    x = monomial_class(6, 1, kappa=(2,))
-    y = x.mul_psi(1)
-    assert y == monomial_class(6, 1, kappa=(2,), psi={1: 1})
-
-
-def test_mul_psi_iterates():
-    x = monomial_class(6, 1, psi={1: 2})
-    assert x.mul_psi(1) == monomial_class(6, 1, psi={1: 3})
-    assert x.mul_psi(1).degree() == x.degree() + 1
-
-
-def test_mul_psi_rejects_boundary_terms():
-    one_edge = DecoratedGraph((1, 1), ((0, 1, 0),), ((0, 0, 1, 0),))
-    amb = AmbientSignature(2, frozenset({1}))
-    x = TautClass(amb, [(one_edge, 1)])
-    with pytest.raises(SignatureError):
-        x.mul_psi(1)
-
-
 # --------------------------------------------------------------------- JSON
 
 def test_graph_json_roundtrip():

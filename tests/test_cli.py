@@ -156,6 +156,16 @@ def test_verify_corrupt_witness_table_exits_1(tmp_path):
     assert load_file(report)["passed"] is False
 
 
+def test_verify_refuses_a_witness_table_entry_for_no_generator(tmp_path, capsys):
+    table = load_file(FIXTURES / "corrupt_witness_table.json")
+    table["overrides"][0]["monomial"] = {"kappa": [2], "psi": {}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    assert run("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table", path) == 2
+    assert capsys.readouterr().err == (
+        "error: witness table names no generator of (g=6, n=0, k=1): kappa_2\n")
+
+
 @pytest.mark.parametrize("argv, content", [
     (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"), []),
     (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"), {"overrides": 5}),
@@ -180,6 +190,9 @@ def test_verify_corrupt_witness_table_exits_1(tmp_path):
     (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"),
      {"overrides": [{"monomial": {"kappa": "12"},
                      "graph": {"vertices": [{"genus": 6, "kappa": [1]}]}}]}),
+    # one monomial listed twice
+    (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"),
+     {"overrides": 2 * load_file(FIXTURES / "corrupt_witness_table.json")["overrides"]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"
@@ -270,6 +283,7 @@ def test_r1_refuses_a_self_loop_on_a_leg_slot(tmp_path, capsys):
 # sha256 of the ``verify --report`` bytes of the instances where the operator
 # streams skip the most candidates
 REPORT_DIGESTS = {
+    (6, 4, 2): "48eb8c7aa348d3bc5fba468cbe7da6352b79cd61fb6b9480df81261dcfff2d80",
     (6, 8, 1): "73976fd3c9aea2b83972168c4755dbdcd2318b71d10e16cd55d3995d5e3bf6e2",
     (9, 2, 3): "42324e41829aa6eba1cafa15977fa371fe8fca5ca29b13e10458c0bafd8f2237",
 }

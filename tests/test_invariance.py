@@ -27,7 +27,7 @@ from stratacalc import (
 )
 from stratacalc.invariance import (
     _cut_candidates,
-    _fresh_labels,
+    _output_signature,
     _reduce_candidates,
     _split_candidates,
     operator_candidates,
@@ -312,7 +312,7 @@ def _stream_inputs():
     disconnected ones included."""
     for g in range(4):
         for n in range(4):
-            fresh = _fresh_labels(range(1, n + 1))
+            fresh, _ = _output_signature(g, range(1, n + 1))
             for graph in enumerate_stable_graphs(g, n, 3, min_edges=0):
                 yield graph, 1, fresh
                 yield graph, 2, (fresh[1] + 3, fresh[0])
@@ -326,7 +326,7 @@ def _stream_inputs():
     rng = random.Random(20261018)
     for _ in range(60):
         graph = random_decorated_graph(rng, genus_range=(0, 3), connected=False)
-        yield graph, 2, _fresh_labels(graph.markings())
+        yield graph, 2, _output_signature(arithmetic_genus(graph), graph.markings())[0]
 
 
 def test_candidate_streams_match_validated_reference():

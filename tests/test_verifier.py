@@ -312,6 +312,14 @@ def test_verify_corrupted_witness_fails_cleanly():
     assert any("zero coefficient" in v for v in entry.violations)
 
 
+@pytest.mark.parametrize("unused", [mono((2,)), mono(psi={1: 1})])
+def test_verify_refuses_an_override_for_no_generator(unused):
+    # kappa_2 has the wrong degree and psi_1 a marking that (6, 0) lacks
+    with pytest.raises(ValueError, match=rf"\(g=6, n=0, k=1\): {unused}$"):
+        verify_witness_independence(6, 0, 1, witness_overrides={
+            mono((1,)): ALT_WITNESS, unused: ALT_WITNESS})
+
+
 def test_verify_recursive_subinstances():
     rep = verify_witness_independence(6, 0, 1, recursive=True)
     assert rep.passed
@@ -438,34 +446,41 @@ KAPPA1_WITNESS_SWAPPED = disjoint_union(single_vertex(1, [(2, 0)]),
                                         single_vertex(5, [(1, 0)], (1,)))
 
 
-@pytest.mark.parametrize("extras,n_structural", [
-    ([(BARE, 1)], 1),
-    ([(BARE, 1), (BARE_SWAPPED, 1)], 1),
-    ([(BARE, 1), (BARE_SWAPPED, -1)], 0),
-    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 1),
-])
-def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural):
+@pytest.mark.parametrize("extras,n_structural,into_generator", [
+    ([(BARE, 1)], 1, False),
+    ([(BARE, 1), (BARE_SWAPPED, 1)], 1, False),
+    ([(BARE, 1), (BARE_SWAPPED, -1)], 0, False),
+    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 1, False),
+    # into the image of the kappa_1 generator: its self coefficient moves, and
+    # bare terms of a generator image are no structural violation
+    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 0, True),
+], ids=["extras0-1", "extras1-1", "extras2-0", "extras3-1", "generator-extras3-0"])
+def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural,
+                                              into_generator):
     g, n, k = 6, 0, 1
-    target = boundary_generators(g, n, k)[0]
+    amb = AmbientSignature(g, frozenset(), 1)
+    out = AmbientSignature(g - 1, frozenset({1, 2}), 2)
+    # the smooth kappa_1 graph is its own canonical graph
+    target = (single_vertex(g, kappa=(1,)) if into_generator
+              else boundary_generators(g, n, k)[0])
     _inject(monkeypatch, target, extras)
     rep = verify_witness_independence(g, n, k)
     assert len(rep.structural_violations) == n_structural
     assert rep.structural_ok == (n_structural == 0)
 
-    amb = AmbientSignature(g, frozenset(), 1)
-    out = AmbientSignature(g - 1, frozenset({1, 2}), 2)
-
     def image(G):
         full = invariance_operator(TautClass(amb, [(G, 1)]))
         return full + TautClass(out, extras) if G == target else full
 
-    _assert_matches_reference(rep, *full_image_extraction(g, n, k,
-                                                          boundary_image=image))
+    _assert_matches_reference(rep, *full_image_extraction(
+        g, n, k, boundary_image=image,
+        generator_image=lambda m: image(single_vertex(g, kappa=m.kappa))))
 
 
 def test_candidate_off_the_ambient_raises_even_when_filtered_out(monkeypatch):
     # genus 6 instead of 5, and psi on leg i: no witness or structural
-    # suspect has these invariants, so the candidate is never canonicalized
+    # suspect has these invariants, yet the class built from the stream
+    # checks the signature of each distinct form it is given
     stray = single_vertex(6, [(1, 1), (2, 0)])
     _inject(monkeypatch, boundary_generators(6, 0, 1)[-1], [(stray, 1)])
     with pytest.raises(SignatureError, match="arithmetic genus 6"):
