@@ -70,22 +70,8 @@ def compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Total-order-comparable byte encoding of a decorated graph up to isomorphism.
-
-    Two decorated graphs have equal encodings exactly when some relabelling of
-    vertices, edges and half-edge slots identifies them, preserving genus,
-    markings, kappa multisets, psi exponents and incidence.
-    """
-
-    encoding: bytes
-
-    def hex(self) -> str:
-        return self.encoding.hex()
-
-    def __repr__(self):
-        return f"CanonicalForm({self.encoding.hex()[:20]})"
+#: A canonical form is plain bytes: see ``canonicalize``.
+CanonicalForm = bytes
 
 
 @dataclass(frozen=True)
@@ -343,16 +329,16 @@ def _canonical_search(g: DecoratedGraph):
     verts, legs, edges = best_key
     genera, kappa = zip(*verts)
     canon = DecoratedGraph._of(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
-    encoding = _COMPACT(best_key).encode("ascii")
-    return CanonicalForm(encoding), canon, ties
+    return _COMPACT(best_key).encode("ascii"), canon, ties
 
 
 def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
     """Canonical form and canonical representative of ``g`` up to isomorphism.
 
-    Deterministic across runs: the representative is the relabelling with the
-    lexicographically least encoding among all orderings compatible with the
-    refinement classes.
+    The form is the ASCII compact JSON of the least encoding over the orderings
+    the refinement classes allow, and the representative is the relabelling
+    that gives it.  Two graphs have equal forms exactly when some relabelling
+    identifies them, decorations included; forms are ordered by their bytes.
     """
     return _canonical_search(g)[:2]
 
@@ -450,7 +436,8 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
             form, canon = canonicalize(cand)
             level[form] = canon
             if e >= min_edges and len(found) + len(level) > cap:
-                raise SizeGuardError(f"enumeration exceeded STRATA_MAX_GRAPHS={cap}")
+                raise SizeGuardError(f"enumeration of (g={g}, n={n}, max_edges={max_edges}) "
+                                     f"exceeded STRATA_MAX_GRAPHS={cap}")
         if not level:
             break
         if e >= min_edges:

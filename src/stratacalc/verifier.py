@@ -67,6 +67,8 @@ def generator_monomials(g: int, n: int, k: int) -> list[InteriorMonomial]:
     """All kappa^I psi^J of total degree k on (g, n), deterministic order."""
     if not 0 <= k <= g // 3:
         raise ValueError(f"k must lie in 0..floor(g/3) = {g // 3}, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     out = set()
     for dk in range(k + 1):
         for part in _partitions(dk):

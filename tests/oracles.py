@@ -661,8 +661,7 @@ def canonical_search_reference(g: DecoratedGraph):
     verts, legs, edges = best_key
     genera, kappa = zip(*verts)
     canon = DecoratedGraph(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
-    encoding = json.dumps(best_key, separators=(",", ":")).encode("ascii")
-    return CanonicalForm(encoding), canon, ties
+    return json.dumps(best_key, separators=(",", ":")).encode("ascii"), canon, ties
 
 
 # ------------------------------------------------------------- random graphs

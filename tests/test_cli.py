@@ -53,10 +53,13 @@ def test_enumerate_bad_args():
     assert run("enumerate", "--g", 2) == 2          # missing required flags
 
 
-def test_enumerate_size_guard(tmp_path, monkeypatch):
+def test_enumerate_size_guard(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STRATA_MAX_GRAPHS", "1")
     assert run("enumerate", "--g", 3, "--n", 0, "--max-edges", 2,
                "--out", tmp_path / "x.json") == 3
+    assert capsys.readouterr().err == (
+        "size guard exceeded: enumeration of (g=3, n=0, max_edges=2) "
+        "exceeded STRATA_MAX_GRAPHS=1\n")
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5"])
@@ -327,12 +330,19 @@ def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv):
         assert capsys.readouterr().out.encode("ascii") == data
 
 
-def test_verify_out_of_range_exits_2(tmp_path):
+def test_verify_out_of_range_exits_2(tmp_path, capsys):
     assert run("verify", "--g", 6, "--n", 0, "--k", 3) == 2
+    assert run("verify", "--g", 6, "--n", -1, "--k", 1) == 2
+    assert capsys.readouterr().err.endswith("error: n must be non-negative, got -1\n")
 
 
-def test_verify_guard_exits_3():
+def test_verify_guard_exits_3(monkeypatch, capsys):
     assert run("verify", "--g", 31, "--n", 0, "--k", 1) == 3
+    monkeypatch.setenv("STRATA_MAX_GRAPHS", "1")
+    assert run("verify", "--g", 6, "--n", 0, "--k", 1) == 3
+    assert capsys.readouterr().err.endswith(
+        "size guard exceeded: enumeration of (g=6, n=0, max_edges=1) "
+        "exceeded STRATA_MAX_GRAPHS=1\n")
 
 
 def test_verify_recursive_flag(tmp_path):

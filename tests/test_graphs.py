@@ -201,7 +201,7 @@ def test_canonical_agrees_with_bruteforce_oracle():
 def _assert_search_matches_reference(g):
     form, canon, ties = graphs._canonical_search.__wrapped__(g)
     ref_form, ref_canon, ref_ties = canonical_search_reference(g)
-    assert form.encoding == ref_form.encoding
+    assert form == ref_form
     assert (canon.genera, canon.legs, canon.edges, canon.kappa) == (
         ref_canon.genera, ref_canon.legs, ref_canon.edges, ref_canon.kappa)
     assert ties == ref_ties
@@ -406,6 +406,7 @@ def test_enumerate_sorted_and_deterministic():
     assert a == b
     encodings = [canonical_form(G) for G in a]
     assert encodings == sorted(encodings)
+    assert all(type(form) is bytes for form in encodings)
 
 
 def test_enumerate_no_isomorphic_duplicates():
@@ -417,7 +418,8 @@ def test_enumerate_no_isomorphic_duplicates():
 
 def test_enumerate_size_guard(monkeypatch):
     monkeypatch.setenv("STRATA_MAX_GRAPHS", "1")
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^enumeration of \(g=3, n=0, max_edges=2\) "
+                                             r"exceeded STRATA_MAX_GRAPHS=1$"):
         enumerate_stable_graphs(3, 0, 2)
 
 

@@ -57,6 +57,8 @@ def test_generators_sorted_and_bounded():
     assert all(k <= 3 for m in gens for k in m.kappa)
     with pytest.raises(ValueError):
         generator_monomials(6, 0, 3)   # k > floor(g/3)
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        generator_monomials(6, -1, 1)
 
 
 # ------------------------------------------------------- boundary generators
