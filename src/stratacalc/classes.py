@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import index
 
 from .errors import SignatureError
 from .graphs import (
@@ -39,7 +41,7 @@ class AmbientSignature:
     max_components: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "markings", frozenset(int(m) for m in self.markings))
+        object.__setattr__(self, "markings", frozenset(map(index, self.markings)))
         if self.max_components not in (1, 2):
             raise ValueError("max_components must be 1 or 2")
         # not a field: stays out of __eq__, __hash__ and repr
@@ -75,6 +77,44 @@ def _summed(*pairs) -> dict:
         else:
             out[key] = coeff
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _common_denominator(coeffs) -> int:
+    """Least common multiple of the denominators of the ``Fraction``s ``coeffs``."""
+    return lcm(*(c.denominator for c in coeffs))
+
+
+def _numerator(coeff: Fraction, denominator: int) -> int:
+    """The integer ``coeff * denominator``; raises unless ``denominator`` is a
+    multiple of the denominator of ``coeff``."""
+    whole, rest = divmod(denominator, coeff.denominator)
+    if rest:
+        raise ValueError(f"{coeff} is not a multiple of 1/{denominator}")
+    return coeff.numerator * whole
+
+
+def _summed_over(denominator: int, pairs) -> dict:
+    """``{key: coefficient}`` summed over ``(key, numerator)`` pairs whose
+    coefficients are integer numerators over the one ``denominator``, without
+    the keys that cancel: the sums stay integers, and only the coefficients
+    that survive become ``Fraction``s."""
+    out = {}
+    for key, num in pairs:
+        out[key] = out.get(key, 0) + num
+    return {key: Fraction(num, denominator) for key, num in out.items() if num}
+
+
+def _canonical_terms(ambient: AmbientSignature, terms, graphs: dict):
+    """``(form, coeff)`` for each ``(graph, coeff)`` of ``terms``.  Every graph
+    is canonicalized, which rejects an invalid one; a form new to ``graphs`` is
+    checked against ``ambient`` (the signature is an isomorphism invariant)
+    and recorded there with its representative."""
+    for graph, coeff in terms:
+        form, canon = canonicalize(graph)
+        if form not in graphs:
+            ambient.check(canon)
+            graphs[form] = canon
+        yield form, coeff
 
 
 def _scaled(terms: dict, coeff) -> dict:
@@ -145,20 +185,14 @@ class TautClass(_LinearCombination):
     def __init__(self, ambient: AmbientSignature, terms=()):
         graphs: dict[CanonicalForm, DecoratedGraph] = {}
 
-        def forms():
+        def nonzero():
             for graph, coeff in terms:
                 coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                form, canon = canonicalize(graph)   # rejects invalid graphs
-                if form not in graphs:
-                    # the signature is an isomorphism invariant
-                    ambient.check(canon)
-                    graphs[form] = canon
-                yield form, coeff
+                if coeff:
+                    yield graph, coeff
 
         self.ambient = ambient
-        self._terms = _summed(forms())
+        self._terms = _summed(_canonical_terms(ambient, nonzero(), graphs))
         self._graphs = graphs
 
     @classmethod

@@ -39,7 +39,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import InvalidGraphError, SizeGuardError
 
@@ -84,19 +84,17 @@ class DecoratedGraph:
     kappa: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        genera = tuple(map(int, self.genera))
-        legs = sorted([(int(v), int(m), int(p)) for v, m, p in self.legs],
+        # outside input only: the package's own graphs are built by _of
+        genera = tuple(map(index, self.genera))
+        legs = sorted([(index(v), index(m), index(p)) for v, m, p in self.legs],
                       key=_BY_MARKING)
-        edges = []
-        for v1, p1, v2, p2 in self.edges:
-            a, b = (int(v1), int(p1)), (int(v2), int(p2))
-            edges.append(a + b if a <= b else b + a)
-        edges.sort()
-        kappa = tuple(tuple(sorted(map(int, ks)))
+        edges = _sorted_edges((index(v1), index(p1), index(v2), index(p2))
+                              for v1, p1, v2, p2 in self.edges)
+        kappa = tuple(tuple(sorted(map(index, ks)))
                       for ks in self.kappa or ((),) * len(genera))
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "legs", tuple(legs))
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "kappa", kappa)
 
     @classmethod
@@ -122,7 +120,7 @@ class DecoratedGraph:
         return len(self.edges)
 
     def markings(self) -> tuple[int, ...]:
-        return tuple(sorted(m for _, m, _ in self.legs))
+        return tuple([m for _, m, _ in self.legs])   # the legs are in marking order
 
     def psi_of_marking(self, marking: int) -> int:
         """Psi exponent on the leg labelled ``marking``; 0 if there is no such leg."""
@@ -219,6 +217,13 @@ class DecoratedGraph:
         diags = self.validate()
         if diags:
             raise InvalidGraphError(diags)
+
+
+def _sorted_edges(edges) -> tuple:
+    """``(v1, psi1, v2, psi2)`` edges in normal form: each edge's ends in
+    order, and the edges sorted."""
+    return tuple(sorted([(v1, p1, v2, p2) if (v1, p1) <= (v2, p2) else (v2, p2, v1, p1)
+                         for v1, p1, v2, p2 in edges]))
 
 
 def arithmetic_genus(g: DecoratedGraph) -> int:
@@ -372,6 +377,30 @@ def _graph_cap() -> int:
     return int(raw)
 
 
+def _moved_half_edges(graph: DecoratedGraph, v: int, last_stays: bool = False):
+    """Move each subset of the half-edges at vertex ``v`` (its legs, then its
+    edge ends, in order; subsets in binary order) to a new last vertex.  Yield,
+    for each subset, the number of half-edges that stay and that move, and the
+    legs and edges in normal form.  With ``last_stays``, only the subsets that
+    leave the last half-edge at ``v``."""
+    legs, edges, new_v = graph.legs, graph.edges, graph.n_vertices
+    at_v = [i for i, leg in enumerate(legs) if leg[0] == v]
+    ends = [(i, side) for i, edge in enumerate(edges) for side in (0, 2) if edge[side] == v]
+    valence = len(at_v) + len(ends)
+    for mask in range(1 << max(valence - last_stays, 0)):
+        moved_legs, moved_edges = list(legs), list(edges)
+        for bit, i in enumerate(at_v):
+            if mask >> bit & 1:
+                moved_legs[i] = (new_v,) + legs[i][1:]
+        for bit, (i, side) in enumerate(ends, len(at_v)):
+            if mask >> bit & 1:
+                moved_edges[i] = moved_edges[i][:side] + (new_v,) + moved_edges[i][side + 1:]
+        moved = mask.bit_count()
+        # an edge with a moved end may need its ends swapped and a new place
+        yield (valence - moved, moved, tuple(moved_legs),
+               _sorted_edges(moved_edges) if mask >> len(at_v) else edges)
+
+
 def _one_edge_degenerations(graph: DecoratedGraph):
     """Yield the stable graphs with one edge more than the stable ``graph``: a
     self-loop at a vertex of genus >= 1, lowering its genus, or a split of a
@@ -379,25 +408,18 @@ def _one_edge_degenerations(graph: DecoratedGraph):
     every assignment of the vertex's half-edges.  Only the two parts of a split
     can be unstable.  Swapping the parts gives an isomorphic graph, so the
     vertex's last half-edge stays on the old vertex."""
-    genera, legs, edges, kappa = graph.genera, graph.legs, graph.edges, graph.kappa
+    genera, edges, kappa = graph.genera, graph.edges, graph.kappa
     new_v = len(genera)
     for v, h in enumerate(genera):
         if h:
-            yield DecoratedGraph(genera[:v] + (h - 1,) + genera[v + 1:], legs,
-                                 edges + ((v, 0, v, 0),), kappa)
-        ends = [(0, i, 0) for i, leg in enumerate(legs) if leg[0] == v]
-        ends += [(1, i, side) for i, edge in enumerate(edges)
-                 for side in (0, 2) if edge[side] == v]
-        for mask in range(1 << max(len(ends) - 1, 0)):
-            moved = mask.bit_count()
-            rows = (list(map(list, legs)), list(map(list, edges)) + [(v, 0, new_v, 0)])
-            for bit, (kind, i, side) in enumerate(ends):
-                if mask >> bit & 1:
-                    rows[kind][i][side] = new_v
+            yield DecoratedGraph._of(genera[:v] + (h - 1,) + genera[v + 1:], graph.legs,
+                                     tuple(sorted(edges + ((v, 0, v, 0),))), kappa)
+        for stay, moved, legs, moved_edges in _moved_half_edges(graph, v, last_stays=True):
+            moved_edges = tuple(sorted(moved_edges + ((v, 0, new_v, 0),)))
             for g1 in range(h + 1):
-                if 2 * g1 - 1 + len(ends) - moved > 0 and 2 * (h - g1) - 1 + moved > 0:
-                    yield DecoratedGraph(genera[:v] + (g1,) + genera[v + 1:] + (h - g1,),
-                                         *rows, kappa + ((),))
+                if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0:
+                    yield DecoratedGraph._of(genera[:v] + (g1,) + genera[v + 1:] + (h - g1,),
+                                             legs, moved_edges, kappa + ((),))
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,

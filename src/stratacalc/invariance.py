@@ -14,12 +14,12 @@ two extra legs labelled i and j:
   the first part and leg j (psi^m) on the second, coefficient (1/2)(-1)^(m+1).
 
 Each operation is a stream of raw candidates: ``(graph, coeff)`` pairs,
-neither canonicalized nor merged, that are valid by construction.  Every
-candidate of a valid input has the input's arithmetic genus minus one, so a
-genus-0 input yields no candidate at all; cut and reduce keep every vertex
-stable, and a split whose part would be unstable is skipped before its graph
-is built.  Building a ``TautClass`` from a stream merges isomorphic candidates
-(``canonicalize`` validates each distinct one).
+neither canonicalized nor merged, that are valid and in normal form by
+construction.  Every candidate of a valid input has the input's arithmetic
+genus minus one, so a genus-0 input yields no candidate at all; cut and
+reduce keep every vertex stable, and a split whose part would be unstable is
+skipped before its graph is built.  Building a ``TautClass`` from a stream
+merges isomorphic candidates (``canonicalize`` validates each distinct one).
 ``operator_candidates`` chains the three streams of one graph, for callers
 that read only part of the image: it can skip every move whose shape (edge
 count, psi on i and j) is not wanted before building it, and check every
@@ -36,9 +36,22 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .classes import AmbientSignature, TautClass
+from .classes import (
+    AmbientSignature,
+    TautClass,
+    _canonical_terms,
+    _common_denominator,
+    _numerator,
+    _summed_over,
+)
 from .errors import SignatureError
-from .graphs import DecoratedGraph, arithmetic_genus, component_count
+from .graphs import (
+    _BY_MARKING,
+    DecoratedGraph,
+    _moved_half_edges,
+    arithmetic_genus,
+    component_count,
+)
 
 __all__ = [
     "cut_edges",
@@ -73,72 +86,86 @@ def _prepare(graph: DecoratedGraph, level: int, labels):
     return _output_signature(arithmetic_genus(graph), graph.markings(), labels)
 
 
+def _leg_adder(graph: DecoratedGraph, labels):
+    """Function adding the legs i and j to legs in marking order, keeping that
+    order: appended when j > i > every marking of ``graph``, sorted in
+    otherwise."""
+    i_lab, j_lab = labels
+    if j_lab > i_lab > max(graph.markings(), default=0):
+        return lambda legs, i_leg, j_leg: legs + (i_leg, j_leg)
+    return lambda legs, i_leg, j_leg: tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
+
+
+def _levels(graph: DecoratedGraph, level: int, shapes):
+    """``(m, (-1)^(m+1) / 2)`` for each m in 0..level-1 whose reduce and split
+    moves are wanted: they keep every edge, so their shape is (#edges,
+    level-1-m, m)."""
+    return [(m, Fraction((-1) ** (m + 1), 2)) for m in range(level)
+            if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
+
+
 def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    on_j = Fraction((-1) ** level, 2)
+    add_legs = _leg_adder(graph, labels)
+    on_i, on_j = Fraction(1, 2), Fraction((-1) ** level, 2)
     # a cut keeps the other edges and adds level to the psi of one cut end
     kept_edges = graph.n_edges - 1
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
-            for di, dj, coeff in ((level, 0, Fraction(1, 2)), (0, level, on_j)):
+            for di, dj, coeff in ((level, 0, on_i), (0, level, on_j)):
                 if shapes is not None and (kept_edges, ip + di, jp + dj) not in shapes:
                     continue
-                legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
-                yield DecoratedGraph(graph.genera, legs, rest, graph.kappa), coeff
+                legs = add_legs(graph.legs, (iv, i_lab, ip + di), (jv, j_lab, jp + dj))
+                yield DecoratedGraph._of(graph.genera, legs, rest, graph.kappa), coeff
 
 
 def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    # a reduce or split keeps every edge: its shape is (#edges, level-1-m, m)
-    levels = [m for m in range(level)
-              if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
+    add_legs = _leg_adder(graph, labels)
+    levels = _levels(graph, level, shapes)
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-        for m in levels:
-            legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
-            yield (DecoratedGraph(genera, legs, graph.edges, graph.kappa),
-                   Fraction((-1) ** (m + 1), 2))
+        for m, coeff in levels:
+            legs = add_legs(graph.legs, (v, i_lab, level - 1 - m), (v, j_lab, m))
+            yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), coeff
 
 
 def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
-    levels = [m for m in range(level)
-              if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
+    levels = _levels(graph, level, shapes)
     if arithmetic_genus(graph) < 1 or not levels:
         return
     i_lab, j_lab = labels
-    genera, legs, edges, kappa = graph.genera, graph.legs, graph.edges, graph.kappa
+    add_legs = _leg_adder(graph, labels)
+    genera, kappa = graph.genera, graph.kappa
     new_v = len(genera)   # index of the second part
     for v, h in enumerate(genera):
-        ends = [(0, i, 0) for i, leg in enumerate(legs) if leg[0] == v]
-        ends += [(1, i, side) for i, edge in enumerate(edges)
-                 for side in (0, 2) if edge[side] == v]
-        valence = len(ends)
-        for m in levels:
-            coeff = Fraction((-1) ** (m + 1), 2)
+        moves = list(_moved_half_edges(graph, v))
+        # the kappa factors go to either part as if they were half-edges too,
+        # in the higher bits of the move's mask
+        kappas = []
+        for mask in range(1 << len(kappa[v])):
+            split = ([], [])
+            for bit, k in enumerate(kappa[v]):
+                split[mask >> bit & 1].append(k)
+            kappas.append(kappa[:v] + (tuple(split[0]),) + kappa[v + 1:] + (tuple(split[1]),))
+        for m, coeff in levels:
+            i_leg, j_leg = (v, i_lab, level - 1 - m), (new_v, j_lab, m)
             for g1 in range(h + 1):
                 parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
-                for mask in range(1 << (valence + len(kappa[v]))):
-                    # each part also carries one new leg, i or j
-                    moved = (mask & ((1 << valence) - 1)).bit_count()
-                    if 2 * g1 - 1 + valence - moved <= 0 or 2 * (h - g1) - 1 + moved <= 0:
-                        continue
-                    rows = (list(map(list, legs)), list(map(list, edges)))
-                    for bit, (kind, i, side) in enumerate(ends):
-                        if mask >> bit & 1:
-                            rows[kind][i][side] = new_v
-                    rows[0].extend(([v, i_lab, level - 1 - m], [new_v, j_lab, m]))
-                    split = ([], [])
-                    for bit, k in enumerate(kappa[v], valence):
-                        split[mask >> bit & 1].append(k)
-                    yield DecoratedGraph(parts, *rows, kappa[:v] + (tuple(split[0]),)
-                                         + kappa[v + 1:] + (tuple(split[1]),)), coeff
+                # each part also carries one new leg, i or j
+                stable = [(add_legs(legs, i_leg, j_leg), edges)
+                          for stay, moved, legs, edges in moves
+                          if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
+                for split_kappa in kappas:
+                    for legs, edges in stable:
+                        yield DecoratedGraph._of(parts, legs, edges, split_kappa), coeff
 
 
 #: Candidate stream of each operation, in the order the operator sums them.
@@ -227,10 +254,19 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
     if level < 1:
         raise ValueError("level must be >= 1")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
-    return TautClass(out, ((cand, coeff * c)
-                           for _, graph, coeff in x.items()
-                           for stream in streams
-                           for cand, c in stream(graph, level, labels)))
+    # every stream coefficient is +-1/2, so 2 * common is a denominator of the sum
+    common = _common_denominator(c for _, _, c in x.items())
+
+    def numerators():
+        for _, graph, coeff in x.items():
+            weight = _numerator(coeff, common)
+            for stream in streams:
+                for cand, c in stream(graph, level, labels):
+                    yield cand, weight * _numerator(c, 2)
+
+    graphs = {}
+    terms = _summed_over(2 * common, _canonical_terms(out, numerators(), graphs))
+    return TautClass._of(out, terms, graphs)
 
 
 def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:

@@ -23,8 +23,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from operator import index
 
-from .classes import AmbientSignature, TautClass, _LinearCombination, _scaled, _summed
+from .classes import (
+    AmbientSignature,
+    TautClass,
+    _common_denominator,
+    _LinearCombination,
+    _numerator,
+    _scaled,
+    _summed,
+    _summed_over,
+)
 from .errors import SignatureError
 from .graphs import single_vertex
 
@@ -52,13 +62,13 @@ class InteriorMonomial:
     psi: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        kappa = tuple(sorted(int(k) for k in self.kappa))
+        kappa = tuple(sorted(map(index, self.kappa)))
         if any(k < 1 for k in kappa):
             raise ValueError("kappa indices must be >= 1")
         raw = self.psi.items() if isinstance(self.psi, dict) else self.psi
         pairs = []
         for m, e in raw:
-            m, e = int(m), int(e)
+            m, e = index(m), index(e)
             if e < 0:
                 raise ValueError("psi exponents must be non-negative")
             if m < 1:
@@ -192,21 +202,23 @@ def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
         raise SignatureError(f"target ambient ({g},{n - 1}) is unstable")
     kappa0 = 2 * g - 2 + (n - 1)
     splits = _kappa_splits(x)
+    common = _common_denominator(x._terms.values())
 
     def terms():
         for mono, coeff in x._terms.items():
+            num = _numerator(coeff, common)
             base = dict(mono.psi).get(p, 0)
             passthrough = tuple((m - 1 if m > p else m, e)
                                 for m, e in mono.psi if m != p)
             for kept, moved, _, ways in splits[mono.kappa]:
                 b = base + moved
                 if b == 1:
-                    yield InteriorMonomial._of(kept, passthrough), coeff * (ways * kappa0)
+                    yield InteriorMonomial._of(kept, passthrough), num * ways * kappa0
                 elif b:
                     kappa = tuple(sorted(kept + (b - 1,)))
-                    yield InteriorMonomial._of(kappa, passthrough), coeff * ways
+                    yield InteriorMonomial._of(kappa, passthrough), num * ways
 
-    return InteriorClass._of(g, n - 1, _summed(terms()))
+    return InteriorClass._of(g, n - 1, _summed_over(common, terms()))
 
 
 def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
@@ -221,17 +233,18 @@ def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
     if not 1 <= p <= n:
         raise SignatureError(f"marking {p} is not in 1..{n}")
     splits = _kappa_splits(y)
+    common = _common_denominator(y._terms.values())
 
     def terms():
         for mono, coeff in y._terms.items():
+            num = _numerator(coeff, common)
             below = tuple((m, e) for m, e in mono.psi if m < p)
             above = tuple((m + 1, e) for m, e in mono.psi if m >= p)
             for kept, moved, count, ways in splits[mono.kappa]:
                 psi = below + ((p, moved),) + above if moved else below + above
-                sign = -1 if count % 2 else 1
-                yield InteriorMonomial._of(kept, psi), coeff * (sign * ways)
+                yield InteriorMonomial._of(kept, psi), -num * ways if count % 2 else num * ways
 
-    return InteriorClass._of(g, n, _summed(terms()))
+    return InteriorClass._of(g, n, _summed_over(common, terms()))
 
 
 # ------------------------------------------------------------------ constants

@@ -39,8 +39,15 @@ def coeff_str(c: Fraction) -> str:
 
 
 def parse_coeff(s) -> Fraction:
+    """A coefficient as the schema writes it: a ``"P/Q"`` string, or a JSON
+    integer; a float or a bool is refused, not converted."""
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise InvalidGraphError(f"malformed coefficient {s!r}: expected a \"P/Q\" string "
+                                f"or an integer")
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidGraphError(f"bad coefficient {s!r}: {exc}") from None
 

@@ -28,6 +28,7 @@ from .errors import SizeGuardError
 from .graphs import (
     CanonicalForm,
     DecoratedGraph,
+    _sorted_edges,
     canonicalize,
     compositions,
     disjoint_union,
@@ -88,20 +89,27 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
     found: dict[CanonicalForm, DecoratedGraph] = {}
     for base in enumerate_stable_graphs(g, n, max_edges=k, min_edges=1):
-        d = k - base.n_edges
-        V, L, E = base.n_vertices, len(base.legs), base.n_edges
-        for alloc in compositions(d, V + L + 2 * E):
-            v_amt = alloc[:V]
-            leg_amt = alloc[V:V + L]
-            end_amt = alloc[V + L:]
-            legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(base.legs))
-            edges = tuple((v1, end_amt[2 * i], v2, end_amt[2 * i + 1])
-                          for i, (v1, _, v2, _) in enumerate(base.edges))
-            for kchoice in itertools.product(*[list(_partitions(a)) for a in v_amt]):
-                cand = DecoratedGraph(base.genera, legs, edges, tuple(kchoice))
-                form, canon = canonicalize(cand)
-                found.setdefault(form, canon)
+        for cand in _decorations(base, k - base.n_edges):
+            form, canon = canonicalize(cand)
+            found.setdefault(form, canon)
     return [found[f] for f in sorted(found)]
+
+
+def _decorations(base: DecoratedGraph, d: int):
+    """Yield every placement of kappa/psi decorations of total degree ``d`` on
+    the undecorated graph ``base``, in normal form."""
+    V, L, E = base.n_vertices, len(base.legs), base.n_edges
+    # kappa multisets of each degree, as sorted tuples
+    kappas = [[part[::-1] for part in _partitions(a)] for a in range(d + 1)]
+    for alloc in compositions(d, V + L + 2 * E):
+        v_amt = alloc[:V]
+        leg_amt = alloc[V:V + L]
+        end_amt = alloc[V + L:]
+        legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(base.legs))
+        edges = _sorted_edges((v1, end_amt[2 * i], v2, end_amt[2 * i + 1])
+                              for i, (v1, _, v2, _) in enumerate(base.edges))
+        for kappa in itertools.product(*[kappas[a] for a in v_amt]):
+            yield DecoratedGraph._of(base.genera, legs, edges, kappa)
 
 
 # ------------------------------------------------------------------ witnesses

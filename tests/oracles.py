@@ -18,6 +18,8 @@ streams keep the operator's former candidate generators, which build every
 candidate and keep those that ``validate()`` accepts.  The ``*_reference``
 interior maps keep the former forgetful pushforward and pullback, which expand
 every index subset of the kappa factors through the public constructors.
+``operator_reference`` keeps the operator's former class build, which
+multiplies and sums every raw term's coefficient as a ``Fraction``.
 ``validate_reference`` and ``canonical_search_reference`` keep the former
 graph validation, which recounts each vertex's valence, and the former
 canonical-form search, which refines colors to a fixed point, sorts legs and
@@ -34,7 +36,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from stratacalc.classes import AmbientSignature, TautClass, monomial_class
-from stratacalc.errors import InvalidGraphError, SizeGuardError
+from stratacalc.errors import InvalidGraphError, SignatureError, SizeGuardError
 from stratacalc.graphs import (
     CanonicalForm,
     DecoratedGraph,
@@ -45,7 +47,12 @@ from stratacalc.graphs import (
     disjoint_union,
     single_vertex,
 )
-from stratacalc.invariance import invariance_operator, operator_candidates
+from stratacalc.invariance import (
+    _PARTS,
+    _output_signature,
+    invariance_operator,
+    operator_candidates,
+)
 from stratacalc.pushforward import InteriorClass, InteriorMonomial
 from stratacalc.verifier import (
     _shape,
@@ -492,6 +499,18 @@ def split_candidates_reference(graph: DecoratedGraph, level: int, labels):
                                           kappa)
                     if not cand.validate():
                         yield cand, coeff
+
+
+def operator_reference(x: TautClass, parts=tuple(_PARTS), level: int = 1) -> TautClass:
+    """The named parts of the operator image of ``x``: one ``TautClass`` of
+    every candidate of every term, its coefficient ``coeff * c``."""
+    if x.ambient.max_components != 1:
+        raise SignatureError("the genus-lowering operator expects a connected ambient")
+    labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
+    return TautClass(out, ((cand, coeff * c)
+                           for _, graph, coeff in x.items()
+                           for name in parts
+                           for cand, c in _PARTS[name](graph, level, labels)))
 
 
 # ------------------------------------------------------- interior expansions

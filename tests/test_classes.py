@@ -10,6 +10,7 @@ from stratacalc import (
     ZERO_DEGREE,
     AmbientSignature,
     DecoratedGraph,
+    InteriorMonomial,
     InvalidGraphError,
     SignatureError,
     TautClass,
@@ -18,6 +19,7 @@ from stratacalc import (
     single_vertex,
     zero_class,
 )
+from stratacalc.classes import _numerator, _summed_over
 from stratacalc.serialize import (
     class_from_obj,
     class_to_obj,
@@ -74,6 +76,33 @@ def test_signature_mismatch_rejected():
         TautClass(amb, [(single_vertex(3), 1)])
     with pytest.raises(SignatureError):
         TautClass(amb, [(single_vertex(2, [(1, 0)]), 1)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DecoratedGraph((2.7,), ((0, 1.9, 0),)),
+    lambda: DecoratedGraph((1, 1), (), ((0, 0, 1, 0.5),)),
+    lambda: DecoratedGraph((2,), (), (), ((1.0,),)),
+    lambda: single_vertex(2.5, [1]),
+    lambda: InteriorMonomial((1.5,), {1: 2.9}),
+    lambda: InteriorMonomial((), {1.0: 2}),
+    lambda: AmbientSignature(2, frozenset({1.5})),
+], ids=["graph-genus-marking", "graph-edge-psi", "graph-kappa", "single-vertex-genus",
+        "monomial-kappa-psi", "monomial-marking", "ambient-marking"])
+def test_constructors_refuse_non_integers(build):
+    """A float is refused, not truncated to an integer."""
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integer_numerators_are_exact():
+    """Sums over one denominator: a coefficient whose denominator does not
+    divide it is refused, never rounded, and cancelled keys are dropped."""
+    assert _numerator(Fraction(-3, 4), 8) == -6
+    assert _numerator(Fraction(5), 3) == 15
+    with pytest.raises(ValueError):
+        _numerator(Fraction(1, 3), 2)
+    summed = _summed_over(6, [("a", 1), ("b", 3), ("a", -1), ("b", 1)])
+    assert summed == {"b": Fraction(2, 3)} and type(summed["b"]) is Fraction
 
 
 # ------------------------------------------------------------------ algebra

@@ -196,6 +196,14 @@ def test_verify_refuses_a_witness_table_entry_for_no_generator(tmp_path, capsys)
     # one monomial listed twice
     (("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table"),
      {"overrides": 2 * load_file(FIXTURES / "corrupt_witness_table.json")["overrides"]}),
+    # a coefficient is a "P/Q" string or a JSON integer, not a float or a bool
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [], "max_components": 1},
+      "terms": [{"coeff": 1.5, "graph": {"vertices": [{"genus": 2, "kappa": []}]}}]}),
+    (("push", "--forget", 1, "--in"),
+     {"g": 2, "n": 1, "terms": [{"coeff": 1.5, "kappa": [1], "psi": {}}]}),
+    (("push", "--forget", 1, "--in"),
+     {"g": 2, "n": 1, "terms": [{"coeff": True, "kappa": [1], "psi": {}}]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"

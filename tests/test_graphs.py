@@ -430,3 +430,33 @@ def test_enumerate_returns_undecorated_canonical_graphs():
         for G in graphs:
             assert canonicalize(G)[1] == G
             assert G.degree() == G.n_edges   # psi = 0 and no kappa anywhere
+
+
+
+def _fields(graph):
+    return graph.genera, graph.legs, graph.edges, graph.kappa
+
+
+def test_degenerations_and_decorations_are_built_in_normal_form():
+    """Enumeration and boundary decoration skip the public constructor, so
+    each graph's fields must already be what it makes of them: the one-edge
+    degenerations of every graph enumerated on the enumerate-ladder
+    instances and of seeded decorated graphs (psi on edge ends, kappa), every
+    decoration ``boundary_generators`` places there, and decorations of
+    degree 3 on some of those graphs."""
+    rng = random.Random(20261019)
+    decorated = [random_decorated_graph(rng, genus_range=(0, 4)) for _ in range(60)]
+    built = 0
+    for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
+        found = enumerate_stable_graphs(g, n, e, min_edges=0)
+        for graph in found + decorated:
+            for cand in graphs._one_edge_degenerations(graph):
+                assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), graph
+                built += 1
+        bases = [(base, e - base.n_edges) for base in found if base.n_edges]
+        # degree 3 has the first kappa multiset listed unsorted, (2, 1)
+        for base, d in bases + [(base, 3) for base in found[:5]]:
+            for cand in verifier._decorations(base, d):
+                assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), base
+                built += 1
+    assert built > 10_000

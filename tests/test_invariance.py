@@ -1,8 +1,10 @@
 """Genus-lowering operators: hand-checked values, linearity, invariants."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -25,6 +27,7 @@ from stratacalc import (
     single_vertex,
     split_vertices,
 )
+from stratacalc.classes import _common_denominator
 from stratacalc.invariance import (
     _cut_candidates,
     _output_signature,
@@ -32,10 +35,11 @@ from stratacalc.invariance import (
     _split_candidates,
     operator_candidates,
 )
-from stratacalc.verifier import _BARE, _shape
+from stratacalc.verifier import _BARE, _shape, boundary_generators
 
 from oracles import (
     cut_candidates_reference,
+    operator_reference,
     random_decorated_graph,
     reduce_candidates_reference,
     split_candidates_reference,
@@ -210,6 +214,70 @@ def test_operator_equals_sum_of_parts_multi_term():
         assert total == invariance_operator(x, level, experimental=True)
 
 
+#: Denominators with many distinct prime factors between them.
+_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _seeded(rng, ambient, graphs):
+    """A class on ``ambient`` of ``graphs`` with coefficients p/(q r) for
+    primes q != r."""
+    return TautClass(ambient, [(graph, Fraction(rng.randint(-99, 99) or 1,
+                                                 prod(rng.sample(_PRIMES, 2))))
+                               for graph in graphs])
+
+
+def _operator_sum_inputs(level):
+    """``(x, form)``: seeded classes whose denominators have an lcm of at least
+    10^6, with ``form`` None; where the images of two of their graphs a and b
+    share a form (cut terms of graphs with psi on an edge can), b's
+    coefficient of it times a minus a's times b, and that form, which
+    cancels; a class on a genus-0 ambient, whose image cancels to the zero
+    class; and the zero class."""
+    rng = random.Random(f"integer-sums/{level}")
+    for g, n, k in ((3, 1, 2), (3, 2, 2), (6, 0, 2), (3, 0, 3), (2, 1, 3)):
+        ambient = AmbientSignature(g, frozenset(range(1, n + 1)))
+        marks = range(1, n + 1)
+        graphs = (boundary_generators(g, n, k) + [single_vertex(g, marks)]
+                  + [single_vertex(g, marks, (d,)) for d in range(1, k + 1)])
+        x = _seeded(rng, ambient, graphs)
+        assert _common_denominator(c for _, _, c in x.items()) >= 10 ** 6
+        yield x, None
+        images = [{form: c for form, _, c in
+                   operator_reference(TautClass(ambient, [(G, 1)]), level=level).items()}
+                  for G in graphs]
+        pair = next(((a, b) for a, b in itertools.combinations(range(len(graphs)), 2)
+                     if images[a].keys() & images[b].keys()), None)
+        if pair is not None:
+            a, b = pair
+            form = min(images[a].keys() & images[b].keys())
+            yield TautClass(ambient, [(graphs[a], images[b][form]),
+                                      (graphs[b], -images[a][form])]), form
+    ambient = AmbientSignature(0, frozenset(range(1, 6)))
+    yield _seeded(rng, ambient, enumerate_stable_graphs(0, 5, 2, min_edges=0)), None
+    yield TautClass(AmbientSignature(4, frozenset({1}))), None
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_integer_sums_match_fraction_reference(level):
+    """The operator sums integer numerators over one denominator; the
+    reference multiplies and adds every raw term as a Fraction.  Both give the
+    same terms, representatives and coefficients, whole and part by part."""
+    cancelled = 0
+    for x, form in _operator_sum_inputs(level):
+        want = operator_reference(x, level=level)
+        got = invariance_operator(x, level, experimental=True)
+        assert list(got.items()) == list(want.items())
+        assert all(type(c) is Fraction for _, _, c in got.items())
+        for name, part in invariance_parts(x, level).items():
+            assert list(part.items()) == list(operator_reference(x, (name,), level).items())
+        if form is not None:
+            assert form not in {f for f, _, _ in got.items()} and not got.is_zero
+            cancelled += 1
+        elif x.ambient.genus == 0 or x.is_zero:
+            assert got.is_zero
+    assert cancelled >= 2
+
+
 def test_experimental_gate():
     x = fundamental_class(3, 0)
     with pytest.raises(ValueError):
@@ -345,6 +413,27 @@ def test_candidate_streams_match_validated_reference():
                 assert got == []
             total += len(got)
     assert total > 100_000
+
+
+def _fields(graph):
+    return graph.genera, graph.legs, graph.edges, graph.kappa
+
+
+def test_candidates_are_built_in_normal_form():
+    """The streams skip the public constructor, so each candidate's fields
+    must already be what it makes of them.  The labels (6, 2) are not above
+    every marking once there are three, and collide with marking 2: the legs
+    must be sorted in, not appended."""
+    streams = (_cut_candidates, _reduce_candidates, _split_candidates)
+    total = 0
+    for graph, level, labels in _stream_inputs():
+        for stream in streams:
+            for labs in (labels, (6, 2)):
+                for cand, _ in stream(graph, level, labs):
+                    assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), \
+                        (graph, level, labs)
+                    total += 1
+    assert total > 200_000
 
 
 def test_shape_filtered_streams_match_filtered_full_streams():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -193,15 +194,33 @@ def _assert_normal(x):
         assert type(coeff) is Fraction and coeff != 0
 
 
+#: Primes whose products are the denominators of ``_mixed_sample``.
+_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def _mixed_sample(rng, g, n, k):
+    """Every generator with a coefficient over the product of two primes,
+    consecutive ones sharing a prime: the denominators' lcm is large."""
+    monos = generator_monomials(g, n, k)
+    return InteriorClass(g, n, [
+        (mono, Fraction(rng.randint(-999, 999) or 1,
+                        _PRIMES[i % 10] * _PRIMES[(i + 1) % 10]))
+        for i, mono in enumerate(monos)])
+
+
 @pytest.mark.parametrize("g,n,k", _GRIDS)
 def test_expansions_match_reference(g, n, k):
-    """forget_pushforward and pullback_lift build monomials from normal data
-    and merge equal kappa subsets by multiplicity; the references expand every
-    index subset through the public constructors."""
+    """forget_pushforward and pullback_lift build monomials from normal data,
+    merge equal kappa subsets by multiplicity and sum integer numerators over
+    one denominator; the references expand every index subset through the
+    public constructors and sum Fractions.  The mixed sample's denominators
+    have an lcm of at least 10^6."""
     rng = random.Random(f"expand/{g}/{n}/{k}")
     x = _grid_sample(rng, g, n, k)
-    for mono in [None, *generator_monomials(g, n, k)]:
-        y = x if mono is None else InteriorClass(g, n, [(mono, 1)])
+    mixed = _mixed_sample(rng, g, n, k)
+    assert lcm(*(c.denominator for _, c in mixed.items())) >= 10 ** 6
+    singles = [InteriorClass(g, n, [(mono, 1)]) for mono in generator_monomials(g, n, k)]
+    for y in [x, mixed, *singles]:
         for p in range(1, n + 2):
             lifted = pullback_lift(y, p)
             assert lifted == pullback_lift_reference(y, p)
