@@ -86,14 +86,9 @@ def _prepare(graph: DecoratedGraph, level: int, labels):
     return _output_signature(arithmetic_genus(graph), graph.markings(), labels)
 
 
-def _leg_adder(graph: DecoratedGraph, labels):
-    """Function adding the legs i and j to legs in marking order, keeping that
-    order: appended when j > i > every marking of ``graph``, sorted in
-    otherwise."""
-    i_lab, j_lab = labels
-    if j_lab > i_lab > max(graph.markings(), default=0):
-        return lambda legs, i_leg, j_leg: legs + (i_leg, j_leg)
-    return lambda legs, i_leg, j_leg: tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
+def _with_new_legs(legs, i_leg, j_leg):
+    """``legs`` plus the new legs i and j, in marking order."""
+    return tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
 
 
 def _levels(graph: DecoratedGraph, level: int, shapes):
@@ -108,7 +103,6 @@ def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    add_legs = _leg_adder(graph, labels)
     on_i, on_j = Fraction(1, 2), Fraction((-1) ** level, 2)
     # a cut keeps the other edges and adds level to the psi of one cut end
     kept_edges = graph.n_edges - 1
@@ -118,7 +112,7 @@ def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
             for di, dj, coeff in ((level, 0, on_i), (0, level, on_j)):
                 if shapes is not None and (kept_edges, ip + di, jp + dj) not in shapes:
                     continue
-                legs = add_legs(graph.legs, (iv, i_lab, ip + di), (jv, j_lab, jp + dj))
+                legs = _with_new_legs(graph.legs, (iv, i_lab, ip + di), (jv, j_lab, jp + dj))
                 yield DecoratedGraph._of(graph.genera, legs, rest, graph.kappa), coeff
 
 
@@ -126,14 +120,13 @@ def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    add_legs = _leg_adder(graph, labels)
     levels = _levels(graph, level, shapes)
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
         for m, coeff in levels:
-            legs = add_legs(graph.legs, (v, i_lab, level - 1 - m), (v, j_lab, m))
+            legs = _with_new_legs(graph.legs, (v, i_lab, level - 1 - m), (v, j_lab, m))
             yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), coeff
 
 
@@ -142,7 +135,6 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1 or not levels:
         return
     i_lab, j_lab = labels
-    add_legs = _leg_adder(graph, labels)
     genera, kappa = graph.genera, graph.kappa
     new_v = len(genera)   # index of the second part
     for v, h in enumerate(genera):
@@ -160,7 +152,7 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
             for g1 in range(h + 1):
                 parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
                 # each part also carries one new leg, i or j
-                stable = [(add_legs(legs, i_leg, j_leg), edges)
+                stable = [(_with_new_legs(legs, i_leg, j_leg), edges)
                           for stay, moved, legs, edges in moves
                           if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
                 for split_kappa in kappas:

@@ -62,6 +62,13 @@ from stratacalc.verifier import (
 )
 
 
+def assert_normal_form(graph: DecoratedGraph, context=None) -> None:
+    """``graph``'s fields are what the public constructor makes of them."""
+    fields = graph.genera, graph.legs, graph.edges, graph.kappa
+    rebuilt = DecoratedGraph(*fields)
+    assert fields == (rebuilt.genera, rebuilt.legs, rebuilt.edges, rebuilt.kappa), context
+
+
 def relabeled(graph: DecoratedGraph, new_index) -> DecoratedGraph:
     """``graph`` under the vertex relabelling ``old -> new_index[old]``."""
     order = sorted(range(graph.n_vertices), key=lambda old: new_index[old])

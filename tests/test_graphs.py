@@ -24,6 +24,7 @@ from stratacalc import graphs, verifier
 from stratacalc.cli import main
 
 from oracles import (
+    assert_normal_form,
     automorphisms_bruteforce,
     candidate_orders_reference,
     canonical_search_reference,
@@ -432,11 +433,6 @@ def test_enumerate_returns_undecorated_canonical_graphs():
             assert G.degree() == G.n_edges   # psi = 0 and no kappa anywhere
 
 
-
-def _fields(graph):
-    return graph.genera, graph.legs, graph.edges, graph.kappa
-
-
 def test_degenerations_and_decorations_are_built_in_normal_form():
     """Enumeration and boundary decoration skip the public constructor, so
     each graph's fields must already be what it makes of them: the one-edge
@@ -451,12 +447,12 @@ def test_degenerations_and_decorations_are_built_in_normal_form():
         found = enumerate_stable_graphs(g, n, e, min_edges=0)
         for graph in found + decorated:
             for cand in graphs._one_edge_degenerations(graph):
-                assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), graph
+                assert_normal_form(cand, graph)
                 built += 1
         bases = [(base, e - base.n_edges) for base in found if base.n_edges]
         # degree 3 has the first kappa multiset listed unsorted, (2, 1)
         for base, d in bases + [(base, 3) for base in found[:5]]:
             for cand in verifier._decorations(base, d):
-                assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), base
+                assert_normal_form(cand, base)
                 built += 1
     assert built > 10_000

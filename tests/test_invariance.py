@@ -38,6 +38,7 @@ from stratacalc.invariance import (
 from stratacalc.verifier import _BARE, _shape, boundary_generators
 
 from oracles import (
+    assert_normal_form,
     cut_candidates_reference,
     operator_reference,
     random_decorated_graph,
@@ -415,10 +416,6 @@ def test_candidate_streams_match_validated_reference():
     assert total > 100_000
 
 
-def _fields(graph):
-    return graph.genera, graph.legs, graph.edges, graph.kappa
-
-
 def test_candidates_are_built_in_normal_form():
     """The streams skip the public constructor, so each candidate's fields
     must already be what it makes of them.  The labels (6, 2) are not above
@@ -430,8 +427,7 @@ def test_candidates_are_built_in_normal_form():
         for stream in streams:
             for labs in (labels, (6, 2)):
                 for cand, _ in stream(graph, level, labs):
-                    assert _fields(cand) == _fields(DecoratedGraph(*_fields(cand))), \
-                        (graph, level, labs)
+                    assert_normal_form(cand, (graph, level, labs))
                     total += 1
     assert total > 200_000
 
