@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
 from .errors import SignatureError
@@ -41,7 +41,9 @@ class AmbientSignature:
     max_components: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "genus", index(self.genus))
         object.__setattr__(self, "markings", frozenset(map(index, self.markings)))
+        object.__setattr__(self, "max_components", index(self.max_components))
         if self.max_components not in (1, 2):
             raise ValueError("max_components must be 1 or 2")
         # not a field: stays out of __eq__, __hash__ and repr
@@ -67,21 +69,30 @@ class AmbientSignature:
                 f"at most {self.max_components}")
 
 
-def _summed(*pairs) -> dict:
-    """``{key: coefficient}`` summed over iterables of ``(key, coefficient)``
-    pairs, without the keys whose coefficients cancel."""
+def _summed(den: int, *pairs) -> tuple[dict, int]:
+    """``(terms, den)`` in lowest terms for the sum over iterables of ``(key,
+    numerator)`` pairs whose coefficients are numerators over the one ``den``:
+    the keys that cancel are dropped, and a zero sum is ``({}, 1)``."""
     out = {}
-    for key, coeff in itertools.chain(*pairs):
+    for key, num in itertools.chain(*pairs):
         if key in out:
-            out[key] += coeff
+            out[key] += num
         else:
-            out[key] = coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
+            out[key] = num
+    # a cancelled key adds 0 to the gcd, which is den itself when all cancel
+    common = gcd(den, *out.values())
+    return {key: num // common for key, num in out.items() if num}, den // common
 
 
-def _common_denominator(coeffs) -> int:
-    """Least common multiple of the denominators of the ``Fraction``s ``coeffs``."""
-    return lcm(*(c.denominator for c in coeffs))
+def _numerators(terms) -> tuple[list, int]:
+    """The ``(key, coeff)`` pairs of ``terms`` with a non-zero coefficient, as
+    ``(key, numerator)`` pairs over the lcm of their denominators."""
+    # Fraction() of an int or a Fraction would only copy it, slowly
+    ratios = [(key, (c if type(c) in (int, Fraction) else Fraction(c)).as_integer_ratio())
+              for key, c in terms]
+    ratios = [(key, num, d) for key, (num, d) in ratios if num]
+    den = lcm(*(d for _, _, d in ratios))
+    return [(key, num * (den // d)) for key, num, d in ratios], den
 
 
 def _numerator(coeff: Fraction, denominator: int) -> int:
@@ -91,17 +102,6 @@ def _numerator(coeff: Fraction, denominator: int) -> int:
     if rest:
         raise ValueError(f"{coeff} is not a multiple of 1/{denominator}")
     return coeff.numerator * whole
-
-
-def _summed_over(denominator: int, pairs) -> dict:
-    """``{key: coefficient}`` summed over ``(key, numerator)`` pairs whose
-    coefficients are integer numerators over the one ``denominator``, without
-    the keys that cancel: the sums stay integers, and only the coefficients
-    that survive become ``Fraction``s."""
-    out = {}
-    for key, num in pairs:
-        out[key] = out.get(key, 0) + num
-    return {key: Fraction(num, denominator) for key, num in out.items() if num}
 
 
 def _canonical_terms(ambient: AmbientSignature, terms, graphs: dict):
@@ -117,23 +117,19 @@ def _canonical_terms(ambient: AmbientSignature, terms, graphs: dict):
         yield form, coeff
 
 
-def _scaled(terms: dict, coeff) -> dict:
-    coeff = Fraction(coeff)
-    if not coeff:
-        return {}
-    return {key: coeff * c for key, c in terms.items()}
-
-
 class _LinearCombination:
     """Algebra shared by exact rational combinations of terms.
 
-    ``_terms`` maps each term's key to its non-zero ``Fraction`` coefficient.
+    ``_terms`` maps each term's key to its non-zero integer numerator over the
+    one denominator ``_den > 0``, in lowest terms: ``gcd(_den, *numerators)``
+    is 1, and the zero class is ``({}, 1)``.  The pair is unique for the
+    coefficients it stands for, so ``==`` and ``hash`` compare it directly.
     A subclass names its ambient (``_space``), the degrees of its terms
     (``_degrees``) and its own ``add`` and ``scale``, which build results from
-    the merged dicts without re-checking a term.
+    ``_plus`` and ``_times`` without re-checking a term.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     @property
     def is_zero(self) -> bool:
@@ -149,6 +145,25 @@ class _LinearCombination:
             return ZERO_DEGREE
         degrees = set(self._degrees())
         return degrees.pop() if len(degrees) == 1 else INHOMOGENEOUS
+
+    def _plus(self, other) -> tuple[dict, int]:
+        """``(terms, den)`` of the sum of ``self`` and ``other``."""
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return _summed(den, ((key, a * num) for key, num in self._terms.items()),
+                       ((key, b * num) for key, num in other._terms.items()))
+
+    def _times(self, coeff) -> tuple[dict, int]:
+        """``(terms, den)`` of ``coeff`` times ``self``."""
+        coeff = Fraction(coeff)
+        if not coeff:
+            return {}, 1
+        # coeff and self are each in lowest terms: these are the only common factors
+        over = gcd(coeff.numerator, self._den)
+        under = gcd(coeff.denominator, *self._terms.values())
+        num = coeff.numerator // over
+        return ({key: num * (n // under) for key, n in self._terms.items()},
+                self._den // over * (coeff.denominator // under))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -169,10 +184,11 @@ class _LinearCombination:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._space() == other._space() and self._terms == other._terms
+        return (self._space() == other._space() and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash(self._space() + (frozenset(self._terms.items()),))
+        return hash(self._space() + (self._den, frozenset(self._terms.items())))
 
 
 class TautClass(_LinearCombination):
@@ -183,23 +199,18 @@ class TautClass(_LinearCombination):
     __slots__ = ("ambient", "_graphs")
 
     def __init__(self, ambient: AmbientSignature, terms=()):
+        pairs, den = _numerators(terms)
         graphs: dict[CanonicalForm, DecoratedGraph] = {}
-
-        def nonzero():
-            for graph, coeff in terms:
-                coeff = Fraction(coeff)
-                if coeff:
-                    yield graph, coeff
-
         self.ambient = ambient
-        self._terms = _summed(_canonical_terms(ambient, nonzero(), graphs))
+        self._terms, self._den = _summed(den, _canonical_terms(ambient, pairs, graphs))
         self._graphs = graphs
 
     @classmethod
-    def _of(cls, ambient: AmbientSignature, terms: dict, graphs: dict) -> "TautClass":
-        """Class of already canonical, checked and merged terms."""
+    def _of(cls, ambient: AmbientSignature, terms: dict, den: int,
+            graphs: dict) -> "TautClass":
+        """Class of already canonical, checked and merged terms in lowest terms."""
         out = object.__new__(cls)
-        out.ambient, out._terms, out._graphs = ambient, terms, graphs
+        out.ambient, out._terms, out._den, out._graphs = ambient, terms, den, graphs
         return out
 
     def _space(self) -> tuple:
@@ -213,23 +224,23 @@ class TautClass(_LinearCombination):
     def items(self):
         """Yield ``(form, graph, coefficient)`` in canonical (deterministic) order."""
         for form in sorted(self._terms):
-            yield form, self._graphs[form], self._terms[form]
+            yield form, self._graphs[form], Fraction(self._terms[form], self._den)
 
     def coefficient_of(self, graph: DecoratedGraph) -> Fraction:
         """Stored coefficient of the canonical form of ``graph`` (0 if absent)."""
         form, _ = canonicalize(graph)
-        return self._terms.get(form, Fraction(0))
+        return Fraction(self._terms.get(form, 0), self._den)
 
     # --------------------------------------------------------------- algebra
 
     def add(self, other: "TautClass") -> "TautClass":
         if self.ambient != other.ambient:
             raise SignatureError("cannot add classes with different ambient signatures")
-        terms = _summed(self._terms.items(), other._terms.items())
-        return TautClass._of(self.ambient, terms, {**self._graphs, **other._graphs})
+        return TautClass._of(self.ambient, *self._plus(other),
+                             {**self._graphs, **other._graphs})
 
     def scale(self, coeff) -> "TautClass":
-        return TautClass._of(self.ambient, _scaled(self._terms, coeff), self._graphs)
+        return TautClass._of(self.ambient, *self._times(coeff), self._graphs)
 
     def __repr__(self):
         return (f"TautClass(genus={self.ambient.genus}, "

@@ -40,9 +40,8 @@ from .classes import (
     AmbientSignature,
     TautClass,
     _canonical_terms,
-    _common_denominator,
     _numerator,
-    _summed_over,
+    _summed,
 )
 from .errors import SignatureError
 from .graphs import (
@@ -246,19 +245,17 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
     if level < 1:
         raise ValueError("level must be >= 1")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
-    # every stream coefficient is +-1/2, so 2 * common is a denominator of the sum
-    common = _common_denominator(c for _, _, c in x.items())
 
     def numerators():
-        for _, graph, coeff in x.items():
-            weight = _numerator(coeff, common)
+        # every stream coefficient is +-1/2, so 2 * x._den is a denominator of the sum
+        for form, num in x._terms.items():
             for stream in streams:
-                for cand, c in stream(graph, level, labels):
-                    yield cand, weight * _numerator(c, 2)
+                for cand, c in stream(x._graphs[form], level, labels):
+                    yield cand, num * _numerator(c, 2)
 
     graphs = {}
-    terms = _summed_over(2 * common, _canonical_terms(out, numerators(), graphs))
-    return TautClass._of(out, terms, graphs)
+    terms, den = _summed(2 * x._den, _canonical_terms(out, numerators(), graphs))
+    return TautClass._of(out, terms, den, graphs)
 
 
 def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:
@@ -279,6 +276,6 @@ def invariance_operator(x: TautClass, level: int = 1,
     higher levels are implemented as written but gated behind
     ``experimental=True``.
     """
-    if level != 1 and not experimental:
+    if level > 1 and not experimental:
         raise ValueError("level >= 2 is experimental; pass experimental=True")
     return _collect(x, tuple(_PARTS.values()), level)

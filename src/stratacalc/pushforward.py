@@ -28,12 +28,9 @@ from operator import index
 from .classes import (
     AmbientSignature,
     TautClass,
-    _common_denominator,
     _LinearCombination,
-    _numerator,
-    _scaled,
+    _numerators,
     _summed,
-    _summed_over,
 )
 from .errors import SignatureError
 from .graphs import single_vertex
@@ -112,27 +109,23 @@ class InteriorClass(_LinearCombination):
     __slots__ = ("g", "n")
 
     def __init__(self, g: int, n: int, terms=()):
+        g, n = index(g), index(n)
+        if g < 0 or n < 0:
+            raise SignatureError(f"malformed interior ambient ({g},{n}): g and n must be >= 0")
         if 2 * g - 2 + n <= 0:
             raise SignatureError(f"unstable interior ambient ({g},{n})")
-
-        def checked():
-            for mono, coeff in terms:
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if any(m > n for m, _ in mono.psi):
-                    raise SignatureError(
-                        f"monomial {mono} uses markings beyond 1..{n}")
-                yield mono, coeff
-
+        pairs, den = _numerators(terms)
+        for mono, _ in pairs:
+            if any(m > n for m, _ in mono.psi):
+                raise SignatureError(f"monomial {mono} uses markings beyond 1..{n}")
         self.g, self.n = g, n
-        self._terms = _summed(checked())
+        self._terms, self._den = _summed(den, pairs)
 
     @classmethod
-    def _of(cls, g: int, n: int, terms: dict) -> "InteriorClass":
-        """Class of already valid and merged terms on a stable ambient."""
+    def _of(cls, g: int, n: int, terms: dict, den: int) -> "InteriorClass":
+        """Class of already valid terms, in lowest terms, on a stable ambient."""
         out = object.__new__(cls)
-        out.g, out.n, out._terms = g, n, terms
+        out.g, out.n, out._terms, out._den = g, n, terms, den
         return out
 
     def _space(self) -> tuple:
@@ -143,30 +136,29 @@ class InteriorClass(_LinearCombination):
 
     def items(self):
         for mono in sorted(self._terms):
-            yield mono, self._terms[mono]
+            yield mono, Fraction(self._terms[mono], self._den)
 
     def coefficient_of(self, mono: InteriorMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._terms.get(mono, 0), self._den)
 
     def add(self, other: "InteriorClass") -> "InteriorClass":
         if (self.g, self.n) != (other.g, other.n):
             raise SignatureError("cannot add interior classes on different ambients")
-        return InteriorClass._of(self.g, self.n,
-                                 _summed(self._terms.items(), other._terms.items()))
+        return InteriorClass._of(self.g, self.n, *self._plus(other))
 
     def scale(self, coeff) -> "InteriorClass":
-        return InteriorClass._of(self.g, self.n, _scaled(self._terms, coeff))
+        return InteriorClass._of(self.g, self.n, *self._times(coeff))
 
     def mul_psi(self, marking: int) -> "InteriorClass":
         if not 1 <= marking <= self.n:
             raise SignatureError(f"marking {marking} is not in 1..{self.n}")
         # distinct monomials stay distinct, so nothing merges
         terms = {}
-        for mono, coeff in self._terms.items():
+        for mono, num in self._terms.items():
             psi = mono.psi_dict()
             psi[marking] = psi.get(marking, 0) + 1
-            terms[InteriorMonomial._of(mono.kappa, tuple(sorted(psi.items())))] = coeff
-        return InteriorClass._of(self.g, self.n, terms)
+            terms[InteriorMonomial._of(mono.kappa, tuple(sorted(psi.items())))] = num
+        return InteriorClass._of(self.g, self.n, terms, self._den)
 
     def __repr__(self):
         body = " + ".join(f"({c})*{m}" for m, c in self.items()) or "0"
@@ -202,11 +194,9 @@ def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
         raise SignatureError(f"target ambient ({g},{n - 1}) is unstable")
     kappa0 = 2 * g - 2 + (n - 1)
     splits = _kappa_splits(x)
-    common = _common_denominator(x._terms.values())
 
     def terms():
-        for mono, coeff in x._terms.items():
-            num = _numerator(coeff, common)
+        for mono, num in x._terms.items():
             base = dict(mono.psi).get(p, 0)
             passthrough = tuple((m - 1 if m > p else m, e)
                                 for m, e in mono.psi if m != p)
@@ -218,7 +208,7 @@ def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
                     kappa = tuple(sorted(kept + (b - 1,)))
                     yield InteriorMonomial._of(kappa, passthrough), num * ways
 
-    return InteriorClass._of(g, n - 1, _summed_over(common, terms()))
+    return InteriorClass._of(g, n - 1, *_summed(x._den, terms()))
 
 
 def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
@@ -233,18 +223,16 @@ def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
     if not 1 <= p <= n:
         raise SignatureError(f"marking {p} is not in 1..{n}")
     splits = _kappa_splits(y)
-    common = _common_denominator(y._terms.values())
 
     def terms():
-        for mono, coeff in y._terms.items():
-            num = _numerator(coeff, common)
+        for mono, num in y._terms.items():
             below = tuple((m, e) for m, e in mono.psi if m < p)
             above = tuple((m + 1, e) for m, e in mono.psi if m >= p)
             for kept, moved, count, ways in splits[mono.kappa]:
                 psi = below + ((p, moved),) + above if moved else below + above
                 yield InteriorMonomial._of(kept, psi), -num * ways if count % 2 else num * ways
 
-    return InteriorClass._of(g, n, _summed_over(common, terms()))
+    return InteriorClass._of(g, n, *_summed(y._den, terms()))
 
 
 # ------------------------------------------------------------------ constants

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,16 +11,20 @@ from stratacalc import (
     ZERO_DEGREE,
     AmbientSignature,
     DecoratedGraph,
+    InteriorClass,
     InteriorMonomial,
     InvalidGraphError,
     SignatureError,
     TautClass,
+    forget_pushforward,
+    generator_monomials,
     invariance_operator,
     monomial_class,
+    pullback_lift,
     single_vertex,
     zero_class,
 )
-from stratacalc.classes import _numerator, _summed_over
+from stratacalc.classes import _numerator, _summed
 from stratacalc.serialize import (
     class_from_obj,
     class_to_obj,
@@ -86,8 +91,13 @@ def test_signature_mismatch_rejected():
     lambda: InteriorMonomial((1.5,), {1: 2.9}),
     lambda: InteriorMonomial((), {1.0: 2}),
     lambda: AmbientSignature(2, frozenset({1.5})),
+    lambda: AmbientSignature(2.7, frozenset({1, 2})),
+    lambda: AmbientSignature(2, frozenset({1}), 1.0),
+    lambda: InteriorClass(2.5, 1),
+    lambda: InteriorClass(2, 1.0),
 ], ids=["graph-genus-marking", "graph-edge-psi", "graph-kappa", "single-vertex-genus",
-        "monomial-kappa-psi", "monomial-marking", "ambient-marking"])
+        "monomial-kappa-psi", "monomial-marking", "ambient-marking", "ambient-genus",
+        "ambient-max-components", "interior-genus", "interior-n"])
 def test_constructors_refuse_non_integers(build):
     """A float is refused, not truncated to an integer."""
     with pytest.raises(TypeError):
@@ -101,8 +111,10 @@ def test_integer_numerators_are_exact():
     assert _numerator(Fraction(5), 3) == 15
     with pytest.raises(ValueError):
         _numerator(Fraction(1, 3), 2)
-    summed = _summed_over(6, [("a", 1), ("b", 3), ("a", -1), ("b", 1)])
-    assert summed == {"b": Fraction(2, 3)} and type(summed["b"]) is Fraction
+    terms, den = _summed(6, [("a", 1), ("b", 3), ("a", -1), ("b", 1)])
+    assert Fraction(terms["b"], den) == Fraction(2, 3) and terms == {"b": 2} and den == 3
+    assert all(type(num) is int for num in terms.values())
+    assert _summed(6, [("a", 1)], [("a", -1)]) == ({}, 1)
 
 
 # ------------------------------------------------------------------ algebra
@@ -188,6 +200,89 @@ def test_term_algebra_matches_public_rebuild():
     for op in (lambda a, b: a + b, lambda a, b: a - b):
         with pytest.raises(SignatureError):
             op(x, other)
+
+
+def _assert_lowest_terms(x):
+    """The stored pair is the unique one: non-zero integer numerators over
+    one positive denominator sharing no factor with all of them, and
+    ``({}, 1)`` for the zero class."""
+    assert type(x._den) is int and x._den > 0
+    assert all(type(num) is int and num for num in x._terms.values())
+    assert gcd(x._den, *x._terms.values()) == 1
+    if x.is_zero:
+        assert (x._terms, x._den) == ({}, 1)
+
+
+def _scalars(rng):
+    """0, +-1, integers and p/q that share factors with the denominators."""
+    return (0, 1, -1, 2, -3, Fraction(1, 3), Fraction(-4, 9),
+            Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+
+
+def _assert_same_pair(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert (got._terms, got._den) == (want._terms, want._den)
+
+
+def test_taut_classes_are_stored_in_lowest_terms():
+    """Every route to a class stores it in lowest terms, so equal classes
+    built by different routes have equal pairs and equal hashes."""
+    rng = random.Random(1618)
+    gens = [monomial_class(6, 2, kappa, psi)
+            for kappa, psi in (((1,), {}), ((), {1: 1}), ((), {2: 1}), ((2,), {}))]
+    amb = gens[0].ambient
+
+    def draw():
+        return TautClass(amb, [(graph, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+                               for m in rng.sample(gens, rng.randint(1, len(gens)))
+                               for _, graph, _ in m.items()])
+
+    for _ in range(12):
+        x, y = draw(), draw()
+        results = [x, y, x + y, x - y, -x, x - x, zero_class(amb),
+                   invariance_operator(x), invariance_operator(x - x)]
+        results += [c * r for c in _scalars(rng) for r in (x, x + y)]
+        for r in results:
+            _assert_lowest_terms(r)
+        _assert_same_pair((x + y) - y, x)
+        _assert_same_pair(x.scale(3).scale(Fraction(1, 3)), x)
+        _assert_same_pair(TautClass(amb, [(graph, c) for _, graph, c in x.items()]), x)
+        for k in _scalars(rng):
+            _assert_same_pair(k * x, TautClass(amb, [(graph, k * c)
+                                                     for _, graph, c in x.items()]))
+        image = invariance_operator(x)
+        rebuilt = TautClass(image.ambient, [(graph, c) for _, graph, c in image.items()])
+        _assert_same_pair(rebuilt, image)
+        _assert_same_pair(x - x, zero_class(amb))
+
+
+def test_interior_classes_are_stored_in_lowest_terms():
+    """The same for interior classes, through mul_psi, the pushforward and
+    the pullback, whose integer factors create common factors to take out."""
+    rng = random.Random(2718)
+    g, n = 6, 3
+    monos = generator_monomials(g, n, 2)
+
+    def draw():
+        return InteriorClass(g, n, [(mono, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+                                    for mono in rng.sample(monos, 5)])
+
+    for _ in range(12):
+        x, y = draw(), draw()
+        p = rng.randint(1, n)
+        results = [x, y, x + y, x - y, -x, x - x, x.mul_psi(p),
+                   forget_pushforward(x, p), pullback_lift(x, p),
+                   forget_pushforward(pullback_lift(x, p), p)]
+        results += [c * r for c in _scalars(rng) for r in (x, x + y)]
+        for r in results:
+            _assert_lowest_terms(r)
+        assert forget_pushforward(pullback_lift(x, p), p).is_zero
+        _assert_same_pair((x + y) - y, x)
+        _assert_same_pair(x.scale(3).scale(Fraction(1, 3)), x)
+        _assert_same_pair(InteriorClass(g, n, x.items()), x)
+        for k in _scalars(rng):
+            _assert_same_pair(k * x, InteriorClass(g, n, [(m, k * c) for m, c in x.items()]))
+        _assert_same_pair(x - x, InteriorClass(g, n))
 
 
 def test_coefficient_of_absent_graph():

@@ -106,6 +106,17 @@ def test_r1_level2_needs_experimental(tmp_path):
                "--out", tmp_path / "y.json") == 0
 
 
+@pytest.mark.parametrize("flags", [(), ("--experimental",)])
+@pytest.mark.parametrize("level", [0, -1])
+def test_r1_level_below_1_exits_2(tmp_path, capsys, level, flags):
+    """A level below 1 is refused as such, not as an experimental level."""
+    out = tmp_path / "x.json"
+    assert run("r1", "--in", FIXTURES / "fundamental_class_genus2.json",
+               "--level", level, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == "error: level must be >= 1\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- push
 
 def test_push_kappa_psi(tmp_path):
@@ -204,6 +215,9 @@ def test_verify_refuses_a_witness_table_entry_for_no_generator(tmp_path, capsys)
      {"g": 2, "n": 1, "terms": [{"coeff": 1.5, "kappa": [1], "psi": {}}]}),
     (("push", "--forget", 1, "--in"),
      {"g": 2, "n": 1, "terms": [{"coeff": True, "kappa": [1], "psi": {}}]}),
+    # a negative genus, although 2g - 2 + n > 0
+    (("push", "--forget", 1, "--in"),
+     {"g": -1, "n": 6, "terms": [{"coeff": "1", "kappa": [1], "psi": {}}]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"

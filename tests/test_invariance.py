@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -27,7 +27,6 @@ from stratacalc import (
     single_vertex,
     split_vertices,
 )
-from stratacalc.classes import _common_denominator
 from stratacalc.invariance import (
     _cut_candidates,
     _output_signature,
@@ -241,7 +240,7 @@ def _operator_sum_inputs(level):
         graphs = (boundary_generators(g, n, k) + [single_vertex(g, marks)]
                   + [single_vertex(g, marks, (d,)) for d in range(1, k + 1)])
         x = _seeded(rng, ambient, graphs)
-        assert _common_denominator(c for _, _, c in x.items()) >= 10 ** 6
+        assert lcm(*(c.denominator for _, _, c in x.items())) >= 10 ** 6
         yield x, None
         images = [{form: c for form, _, c in
                    operator_reference(TautClass(ambient, [(G, 1)]), level=level).items()}
@@ -281,10 +280,15 @@ def test_integer_sums_match_fraction_reference(level):
 
 def test_experimental_gate():
     x = fundamental_class(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="experimental"):
         invariance_operator(x, level=2)
     out = invariance_operator(x, level=2, experimental=True)
     assert not out.is_zero
+    # a level below 1 is refused as such, with or without the flag
+    for level in (0, -1):
+        for experimental in (False, True):
+            with pytest.raises(ValueError, match=r"^level must be >= 1$"):
+                invariance_operator(x, level=level, experimental=experimental)
 
 
 def test_cut_level2_coefficients():

@@ -170,6 +170,13 @@ def test_pushforward_unstable_target():
         forget_pushforward(ic(1, 1, (psi(m1=1), 1)), 1)
 
 
+@pytest.mark.parametrize("g, n", [(-1, 6), (5, -1), (0, 2)])
+def test_interior_ambient_must_be_stable(g, n):
+    """A negative genus or marking count is refused even where 2g - 2 + n > 0."""
+    with pytest.raises(SignatureError):
+        InteriorClass(g, n)
+
+
 # ---------------------------------------------------------------- constants
 
 #: (g, n, k) of the generator grids the expansions are checked on; (9,3,3)
