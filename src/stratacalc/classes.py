@@ -46,6 +46,9 @@ class AmbientSignature:
         object.__setattr__(self, "max_components", index(self.max_components))
         if self.max_components not in (1, 2):
             raise ValueError("max_components must be 1 or 2")
+        below = sorted(m for m in self.markings if m < 1)
+        if below:
+            raise ValueError(f"markings must be >= 1, got {below}")
         # not a field: stays out of __eq__, __hash__ and repr
         object.__setattr__(self, "_marking_tuple", tuple(sorted(self.markings)))
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import lru_cache
 from math import factorial, prod
 from operator import index, itemgetter
@@ -74,40 +73,31 @@ def compositions(total: int, parts: int):
 CanonicalForm = bytes
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
-    """Dual graph with a kappa monomial per vertex and a psi power per half-edge."""
+class DecoratedGraph(namedtuple("DecoratedGraph", "genera legs edges kappa")):
+    """Dual graph with a kappa monomial per vertex and a psi power per half-edge.
 
-    genera: tuple[int, ...]
-    legs: tuple[tuple[int, int, int], ...] = ()        # (vertex, marking, psi)
-    edges: tuple[tuple[int, int, int, int], ...] = ()  # (v1, psi1, v2, psi2)
-    kappa: tuple[tuple[int, ...], ...] = ()
+    The named tuple of its fields in normal form: ``genera``; ``legs`` as
+    ``(vertex, marking, psi)``; ``edges`` as ``(v1, psi1, v2, psi2)``; ``kappa``,
+    one tuple per vertex.  It compares, sorts and hashes as that tuple.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, genera, legs=(), edges=(), kappa=()):
         # outside input only: the package's own graphs are built by _of
-        genera = tuple(map(index, self.genera))
-        legs = sorted([(index(v), index(m), index(p)) for v, m, p in self.legs],
-                      key=_BY_MARKING)
+        genera = tuple(map(index, genera))
+        legs = sorted([(index(v), index(m), index(p)) for v, m, p in legs], key=_BY_MARKING)
         edges = _sorted_edges((index(v1), index(p1), index(v2), index(p2))
-                              for v1, p1, v2, p2 in self.edges)
-        kappa = tuple(tuple(sorted(map(index, ks)))
-                      for ks in self.kappa or ((),) * len(genera))
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "legs", tuple(legs))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "kappa", kappa)
+                              for v1, p1, v2, p2 in edges)
+        kappa = tuple(tuple(sorted(map(index, ks))) for ks in kappa or ((),) * len(genera))
+        return tuple.__new__(cls, (genera, tuple(legs), edges, kappa))
 
     @classmethod
     def _of(cls, genera, legs, edges, kappa) -> "DecoratedGraph":
-        """Graph of fields already in the normal form ``__post_init__`` makes:
+        """Graph of fields already in the normal form ``__new__`` makes:
         ints, legs by marking, each edge's ends in order and edges sorted,
         each kappa sorted and one per vertex."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "genera", genera)
-        object.__setattr__(out, "legs", legs)
-        object.__setattr__(out, "edges", edges)
-        object.__setattr__(out, "kappa", kappa)
-        return out
+        return tuple.__new__(cls, (genera, legs, edges, kappa))
 
     # ------------------------------------------------------------------ shape
 

@@ -19,7 +19,7 @@ immediately converted to the scalar 2g - 2 + n of the target space.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -51,18 +51,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class InteriorMonomial:
-    """A generator kappa^I psi^J: kappa multiset plus per-marking psi exponents."""
+class InteriorMonomial(namedtuple("InteriorMonomial", "kappa psi")):
+    """A generator kappa^I psi^J: kappa multiset plus per-marking psi exponents.
 
-    kappa: tuple[int, ...] = ()
-    psi: tuple[tuple[int, int], ...] = ()
+    The named tuple ``(kappa, psi)`` of the sorted kappa indices and the
+    sorted ``(marking, exponent)`` pairs with a non-zero exponent; monomials
+    compare, sort and hash as that tuple."""
 
-    def __post_init__(self):
-        kappa = tuple(sorted(map(index, self.kappa)))
+    __slots__ = ()
+
+    def __new__(cls, kappa=(), psi=()):
+        kappa = tuple(sorted(map(index, kappa)))
         if any(k < 1 for k in kappa):
             raise ValueError("kappa indices must be >= 1")
-        raw = self.psi.items() if isinstance(self.psi, dict) else self.psi
+        raw = psi.items() if isinstance(psi, dict) else psi
         pairs = []
         for m, e in raw:
             m, e = index(m), index(e)
@@ -75,16 +77,12 @@ class InteriorMonomial:
         psi = tuple(sorted(pairs))
         if len({m for m, _ in psi}) != len(psi):
             raise ValueError("repeated marking in psi exponents")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "psi", psi)
+        return tuple.__new__(cls, (kappa, psi))
 
     @classmethod
     def _of(cls, kappa: tuple[int, ...], psi: tuple[tuple[int, int], ...]):
-        """Monomial from data already in the form ``__post_init__`` gives."""
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "kappa", kappa)
-        object.__setattr__(mono, "psi", psi)
-        return mono
+        """Monomial from data already in the form ``__new__`` gives."""
+        return tuple.__new__(cls, (kappa, psi))
 
     @property
     def degree(self) -> int:

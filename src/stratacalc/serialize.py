@@ -25,6 +25,7 @@ number the half-edges of a vertex, legs first.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -153,6 +154,9 @@ def class_from_obj(obj) -> TautClass:
     try:
         amb = obj["ambient"]
         markings = _resolve_markings(amb.get("markings", ()))
+        repeated = sorted(m for m, count in Counter(markings).items() if count > 1)
+        if repeated:
+            raise ValueError("; ".join(f"duplicate marking: {m}" for m in repeated))
         ambient = AmbientSignature(_int(amb["genus"]), frozenset(markings),
                                    _int(amb.get("max_components", 1)))
         terms = [(graph_from_obj(t["graph"]), parse_coeff(t["coeff"]))

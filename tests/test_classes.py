@@ -104,6 +104,25 @@ def test_constructors_refuse_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AmbientSignature(2, {0}),
+    lambda: AmbientSignature(2, {-5, 3, 4, 5}),
+    lambda: AmbientSignature(2, {1}, 3),
+    lambda: InteriorMonomial((0,)),
+    lambda: InteriorMonomial((), {0: 1}),
+    lambda: InteriorMonomial((), {1: -1}),
+    lambda: InteriorMonomial((), [(1, 1), (1, 2)]),
+], ids=["ambient-marking-0", "ambient-marking-negative", "ambient-max-components",
+        "monomial-kappa-0", "monomial-marking-0", "monomial-psi-negative",
+        "monomial-repeated-marking"])
+def test_constructors_refuse_out_of_range_values(build):
+    """A value outside its range is refused with ``ValueError``; ambient genus
+    is not bounded below, since the genus-0 operator output lives on genus -1."""
+    with pytest.raises(ValueError):
+        build()
+    AmbientSignature(-1, {1, 2})
+
+
 def test_integer_numerators_are_exact():
     """Sums over one denominator: a coefficient whose denominator does not
     divide it is refused, never rounded, and cancelled keys are dropped."""

@@ -218,6 +218,16 @@ def test_verify_refuses_a_witness_table_entry_for_no_generator(tmp_path, capsys)
     # a negative genus, although 2g - 2 + n > 0
     (("push", "--forget", 1, "--in"),
      {"g": -1, "n": 6, "terms": [{"coeff": "1", "kappa": [1], "psi": {}}]}),
+    # an ambient marking below 1, which no graph may carry
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [0], "max_components": 1}, "terms": []}),
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [-5, 3], "max_components": 1}, "terms": []}),
+    # a repeated ambient marking is refused, not merged
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [1, 1], "max_components": 1}, "terms": []}),
+    (("r1", "--in"),
+     {"ambient": {"genus": 2, "markings": [1, "i", "i"], "max_components": 1}, "terms": []}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     path = tmp_path / "in.json"

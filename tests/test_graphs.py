@@ -1,5 +1,7 @@
 """Graph core: validation, genus bookkeeping, canonical forms, enumeration."""
 
+import copy
+import pickle
 import random
 from math import factorial
 
@@ -39,6 +41,31 @@ from oracles import (
 
 def two_vertex_bridge(g1=1, g2=1):
     return DecoratedGraph((g1, g2), (), ((0, 0, 1, 0),))
+
+
+# -------------------------------------------------------------- representation
+
+def test_graph_is_the_named_tuple_of_its_fields():
+    """A graph is the tuple ``(genera, legs, edges, kappa)`` of its normal-form
+    fields: it prints, compares, hashes, sorts, copies and pickles as one, and
+    ``_of`` of normal-form fields equals the public constructor."""
+    assert repr(DecoratedGraph((2,), ((0, 1, 1),), (), ((1,),))) == \
+        "DecoratedGraph(genera=(2,), legs=((0, 1, 1),), edges=(), kappa=((1,),))"
+    # legs out of marking order, an edge's ends out of order, kappa unsorted
+    g = DecoratedGraph((1, 1), [(1, 2, 0), (0, 1, 3)], [(1, 0, 0, 2)], [(2, 1), ()])
+    fields = ((1, 1), ((0, 1, 3), (1, 2, 0)), ((0, 2, 1, 0),), ((1, 2), ()))
+    assert tuple(g) == (g.genera, g.legs, g.edges, g.kappa) == fields
+    assert g == DecoratedGraph._of(*fields) == DecoratedGraph(*fields)
+    assert type(DecoratedGraph._of(*fields)) is DecoratedGraph
+    assert hash(g) == hash(fields) == hash(DecoratedGraph._of(*fields))
+    assert DecoratedGraph(genera=(1, 1), legs=fields[1], edges=fields[2]).kappa == ((), ())
+    for copied in [copy.copy(g), copy.deepcopy(g)] + [
+            pickle.loads(pickle.dumps(g, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert copied == g and type(copied) is DecoratedGraph
+    rng = random.Random(20261019)
+    pool = [random_decorated_graph(rng) for _ in range(40)]
+    assert sorted(pool) == sorted(pool, key=lambda x: (x.genera, x.legs, x.edges, x.kappa))
 
 
 # ----------------------------------------------------------------- validation

@@ -1,5 +1,7 @@
 """Forgetful pushforward rules, the two-point identity, and the constants."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -54,6 +56,31 @@ def random_interior(rng, g, n, max_deg=3):
         terms.append((InteriorMonomial(tuple(ks), ps),
                       Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
     return InteriorClass(g, n, terms)
+
+
+# ------------------------------------------------------------ representation
+
+def test_monomial_is_the_named_tuple_of_its_fields():
+    """A monomial is the tuple ``(kappa, psi)`` of its normal-form fields: it
+    prints, compares, hashes, sorts, copies and pickles as one, and ``_of`` of
+    normal-form fields equals the public constructor."""
+    assert repr(InteriorMonomial((1,), {2: 1})) == "InteriorMonomial(kappa=(1,), psi=((2, 1),))"
+    m = InteriorMonomial([2, 1], {3: 1, 1: 2, 2: 0})
+    fields = ((1, 2), ((1, 2), (3, 1)))
+    assert tuple(m) == (m.kappa, m.psi) == fields
+    assert m == InteriorMonomial._of(*fields) == InteriorMonomial(*fields)
+    assert m == InteriorMonomial(psi=fields[1], kappa=fields[0])
+    assert type(InteriorMonomial._of(*fields)) is InteriorMonomial
+    assert hash(m) == hash(fields) == hash(InteriorMonomial._of(*fields))
+    for copied in [copy.copy(m), copy.deepcopy(m)] + [
+            pickle.loads(pickle.dumps(m, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert copied == m and type(copied) is InteriorMonomial
+    # kappa first: kappa_1 sorts after psi_1, whose kappa part is empty
+    assert sorted([kappa(1), psi(p1=1)]) == [psi(p1=1), kappa(1)]
+    monos = [mono for k in range(4) for mono in generator_monomials(9, 3, k)]
+    random.Random(20261019).shuffle(monos)
+    assert sorted(monos) == sorted(monos, key=lambda x: (x.kappa, x.psi))
 
 
 # -------------------------------------------------------------------- rules
