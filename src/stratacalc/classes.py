@@ -20,6 +20,7 @@ from .errors import SignatureError
 from .graphs import (
     CanonicalForm,
     DecoratedGraph,
+    _canonical_search,
     arithmetic_genus,
     canonicalize,
     component_count,
@@ -107,17 +108,26 @@ def _numerator(coeff: Fraction, denominator: int) -> int:
     return coeff.numerator * whole
 
 
-def _canonical_terms(ambient: AmbientSignature, terms, graphs: dict):
-    """``(form, coeff)`` for each ``(graph, coeff)`` of ``terms``.  Every graph
-    is canonicalized, which rejects an invalid one; a form new to ``graphs`` is
-    checked against ``ambient`` (the signature is an isomorphism invariant)
-    and recorded there with its representative."""
-    for graph, coeff in terms:
-        form, canon = canonicalize(graph)
-        if form not in graphs:
-            ambient.check(canon)
-            graphs[form] = canon
-        yield form, coeff
+def _merged(ambient: AmbientSignature, terms, valid=False) -> tuple:
+    """``TautClass._of``'s arguments for the class on ``ambient`` holding the
+    ``(graph, coeff)`` pairs of ``terms``.  Every graph is validated, unless the
+    caller knows them all to be ``valid``, and canonicalized; each form, the
+    first time it is met, is checked against ``ambient`` (the signature is an
+    isomorphism invariant) and recorded with its representative."""
+    pairs, den = _numerators(terms)
+    graphs: dict[CanonicalForm, DecoratedGraph] = {}
+
+    def forms():
+        for graph, num in pairs:
+            if not valid:
+                graph.require_valid()
+            form, canon, _ = _canonical_search(graph)
+            if form not in graphs:
+                ambient.check(canon)
+                graphs[form] = canon
+            yield form, num
+
+    return (ambient, *_summed(den, forms()), graphs)
 
 
 class _LinearCombination:
@@ -202,11 +212,7 @@ class TautClass(_LinearCombination):
     __slots__ = ("ambient", "_graphs")
 
     def __init__(self, ambient: AmbientSignature, terms=()):
-        pairs, den = _numerators(terms)
-        graphs: dict[CanonicalForm, DecoratedGraph] = {}
-        self.ambient = ambient
-        self._terms, self._den = _summed(den, _canonical_terms(ambient, pairs, graphs))
-        self._graphs = graphs
+        self.ambient, self._terms, self._den, self._graphs = _merged(ambient, terms)
 
     @classmethod
     def _of(cls, ambient: AmbientSignature, terms: dict, den: int,

@@ -48,8 +48,10 @@ _ORDERING_GUARD = 1_000_000
 
 _DEFAULT_MAX_GRAPHS = 100_000
 
-#: Encoder of canonical forms: compact JSON of the least key.
-_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+#: Compact-JSON encoder of canonical forms, built once (``JSONEncoder.encode``
+#: builds one per call); it yields the JSON of the least key in str parts.
+_COMPACT = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii,
+                                       None, ":", ",", False, False, True)
 
 #: Sort key of ``(vertex, marking, psi)`` legs: by marking.
 _BY_MARKING = itemgetter(1, 0, 2)
@@ -311,8 +313,8 @@ def _canonical_search(g: DecoratedGraph):
     orders that tie for the least encoding.  Two tied orders differ by a
     vertex permutation preserving genus, kappa, legs and the edge multiset,
     and every such permutation keeps the refinement colors, so the tie count
-    is the number of these permutations."""
-    g.require_valid()
+    is the number of these permutations.  ``g`` must be valid: the search
+    does not check it (see ``canonicalize``)."""
     best_key = None
     ties = 0
     for order in _candidate_orders(g):
@@ -324,7 +326,7 @@ def _canonical_search(g: DecoratedGraph):
     verts, legs, edges = best_key
     genera, kappa = zip(*verts)
     canon = DecoratedGraph._of(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
-    return _COMPACT(best_key).encode("ascii"), canon, ties
+    return "".join(_COMPACT(best_key, 0)).encode("ascii"), canon, ties
 
 
 def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
@@ -334,7 +336,10 @@ def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
     the refinement classes allow, and the representative is the relabelling
     that gives it.  Two graphs have equal forms exactly when some relabelling
     identifies them, decorations included; forms are ordered by their bytes.
+    ``g`` is validated first, as by ``automorphism_count``; the package's own
+    graphs go straight to the cached ``_canonical_search``, which trusts them.
     """
+    g.require_valid()
     return _canonical_search(g)[:2]
 
 
@@ -350,6 +355,7 @@ def automorphism_count(g: DecoratedGraph) -> int:
     edges with equal psi data permute freely, and a self-loop with equal psi
     on both ends may flip.
     """
+    g.require_valid()
     _, canon, ties = _canonical_search(g)
     edges = Counter(canon.edges)
     loops = sum(mult for (v1, p1, v2, p2), mult in edges.items() if (v1, p1) == (v2, p2))
@@ -445,7 +451,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
                       (cand for graph in below for cand in _one_edge_degenerations(graph)))
         level: dict[CanonicalForm, DecoratedGraph] = {}
         for cand in candidates:
-            form, canon = canonicalize(cand)
+            form, canon, _ = _canonical_search(cand)
             level[form] = canon
             if e >= min_edges and len(found) + len(level) > cap:
                 raise SizeGuardError(f"enumeration of (g={g}, n={n}, max_edges={max_edges}) "

@@ -19,7 +19,7 @@ construction.  Every candidate of a valid input has the input's arithmetic
 genus minus one, so a genus-0 input yields no candidate at all; cut and
 reduce keep every vertex stable, and a split whose part would be unstable is
 skipped before its graph is built.  Building a ``TautClass`` from a stream
-merges isomorphic candidates (``canonicalize`` validates each distinct one).
+merges isomorphic candidates, which go to the canonical-form search unchecked.
 ``operator_candidates`` chains the three streams of one graph, for callers
 that read only part of the image: it can skip every move whose shape (edge
 count, psi on i and j) is not wanted before building it, and check every
@@ -36,17 +36,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .classes import (
-    AmbientSignature,
-    TautClass,
-    _canonical_terms,
-    _numerator,
-    _summed,
-)
+from .classes import AmbientSignature, TautClass, _merged, _numerator, _summed
 from .errors import SignatureError
 from .graphs import (
     _BY_MARKING,
     DecoratedGraph,
+    _canonical_search,
     _moved_half_edges,
     arithmetic_genus,
     component_count,
@@ -77,7 +72,8 @@ def _output_signature(genus: int, markings, labels=None):
 
 
 def _prepare(graph: DecoratedGraph, level: int, labels):
-    """New leg labels and output ambient of a valid input graph."""
+    """Validate an input graph; its new leg labels and output ambient."""
+    graph.require_valid()
     if level < 1:
         raise ValueError("level must be >= 1")
     # genus-0 inputs land on a genus -1 ambient, which can only hold the
@@ -172,9 +168,8 @@ def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
     under both label assignments.  The extra power multiplies any psi
     decoration already sitting on the cut half-edge.
     """
-    graph.require_valid()
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass(ambient, _cut_candidates(graph, level, labels))
+    return TautClass._of(*_merged(ambient, _cut_candidates(graph, level, labels), valid=True))
 
 
 def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
@@ -183,9 +178,8 @@ def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
     For every vertex of genus >= 1 and every m in 0..level-1 the new legs
     carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
     """
-    graph.require_valid()
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass(ambient, _reduce_candidates(graph, level, labels))
+    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, level, labels), valid=True))
 
 
 def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
@@ -198,9 +192,8 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
     canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
     leg i and psi^m on leg j, m in 0..level-1.
     """
-    graph.require_valid()
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass(ambient, _split_candidates(graph, level, labels))
+    return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), valid=True))
 
 
 def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
@@ -216,15 +209,13 @@ def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
     move.  With ``ambient``, every candidate, built or not, is checked against
     it before the first is yielded; otherwise checks are left to the consumer.
     """
-    graph.require_valid()
     labels, _ = _prepare(graph, level, labels)
     yield from _candidates_of_valid(graph, level, labels, shapes, ambient)
 
 
 def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
     """``operator_candidates`` of a graph already known to be valid, such as
-    a canonical representative (``canonicalize`` validated its input), with
-    level and labels already checked."""
+    a boundary generator, with level and labels already checked."""
     if ambient is not None:
         # all candidates share genus and markings and have at most one more
         # component than graph: below the bound the first stands for all
@@ -245,16 +236,19 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
     if level < 1:
         raise ValueError("level must be >= 1")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
+    graphs = {}
 
     def numerators():
-        # every stream coefficient is +-1/2, so 2 * x._den is a denominator of the sum
+        # every stream coefficient is +-1/2, so 2 * x._den is a denominator of the sum;
+        # the candidates of a valid term on a connected ambient are valid and lie on out
         for form, num in x._terms.items():
             for stream in streams:
                 for cand, c in stream(x._graphs[form], level, labels):
-                    yield cand, num * _numerator(c, 2)
+                    key, canon, _ = _canonical_search(cand)
+                    graphs[key] = canon
+                    yield key, num * _numerator(c, 2)
 
-    graphs = {}
-    terms, den = _summed(2 * x._den, _canonical_terms(out, numerators(), graphs))
+    terms, den = _summed(2 * x._den, numerators())
     return TautClass._of(out, terms, den, graphs)
 
 

@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import AmbientSignature, TautClass
+from .classes import AmbientSignature, TautClass, _merged
 from .errors import InvalidGraphError
 from .graphs import DecoratedGraph
 from .pushforward import InteriorClass, InteriorMonomial
@@ -163,7 +163,8 @@ def class_from_obj(obj) -> TautClass:
                  for t in obj.get("terms", ())]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed class object: {exc}") from None
-    return TautClass(ambient, terms)
+    # graph_from_obj validated every graph; the ambient check still runs
+    return TautClass._of(*_merged(ambient, terms, valid=True))
 
 
 # ----------------------------------------------------------- interior classes

@@ -23,11 +23,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import TautClass, monomial_class
+from .classes import TautClass, _merged, monomial_class
 from .errors import SizeGuardError
 from .graphs import (
     CanonicalForm,
     DecoratedGraph,
+    _canonical_search,
     _sorted_edges,
     canonicalize,
     compositions,
@@ -90,7 +91,7 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
     found: dict[CanonicalForm, DecoratedGraph] = {}
     for base in enumerate_stable_graphs(g, n, max_edges=k, min_edges=1):
         for cand in _decorations(base, k - base.n_edges):
-            form, canon = canonicalize(cand)
+            form, canon, _ = _canonical_search(cand)
             found.setdefault(form, canon)
     return [found[f] for f in sorted(found)]
 
@@ -481,12 +482,12 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                   for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
     for r, G in enumerate(gen_graphs + bgraphs):
         image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb)
-        for form, graph, coeff in TautClass(out_amb, image).items():
+        for form, graph, coeff in TautClass._of(*_merged(out_amb, image, valid=True)).items():
             if form in rows:
                 rows[form][r] = coeff
             if r >= len(gens) and _shape(graph, i_lab, j_lab) == _BARE:
                 structural_violations.append(
-                    f"image term of boundary graph {canonicalize(G)[0].hex()[:16]} "
+                    f"image term of boundary graph {_canonical_search(G)[0].hex()[:16]} "
                     f"has no edge and psi^0 on both new legs")
 
     system_cache: SystemReport | None = None
@@ -544,7 +545,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             bnd_coeffs[b] = str(coeff)
             violations.append(
                 f"witness appears in the image of boundary graph "
-                f"{canonicalize(bgraphs[b])[0].hex()[:16]} with coefficient {coeff}")
+                f"{_canonical_search(bgraphs[b])[0].hex()[:16]} with coefficient {coeff}")
         insts, notes, extrapolated = _witness_assumptions(mono, g, n, witness)
         assumed_instances.update(insts)
         assumption_strs = tuple(
@@ -591,7 +592,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
 
     return VerificationReport(
         g=g, n=n, k=k, i_label=i_lab, j_label=j_lab, entries=tuple(entries),
-        boundary_forms=tuple(canonicalize(G)[0].hex() for G in bgraphs),
+        boundary_forms=tuple(_canonical_search(G)[0].hex() for G in bgraphs),
         structural_ok=structural_ok,
         structural_violations=tuple(structural_violations),
         sub_instances=tuple(sub_results), passed=passed,

@@ -1,8 +1,10 @@
 """Graph core: validation, genus bookkeeping, canonical forms, enumeration."""
 
 import copy
+import json
 import pickle
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -237,19 +239,21 @@ def _assert_search_matches_reference(g):
 
 def test_canonical_search_matches_reference_on_enumerate_ladder(monkeypatch):
     """Every graph the enumerate-ladder benchmark canonicalizes: the candidates
-    of enumeration and of boundary decoration, and the graphs they return."""
+    of enumeration and of boundary decoration, recorded where they enter the
+    search, and the graphs they return."""
     inputs = set()
-    real = graphs.canonicalize
+    real = graphs._canonical_search
 
     def recording(g):
         inputs.add(g)
         return real(g)
 
-    monkeypatch.setattr(graphs, "canonicalize", recording)
-    monkeypatch.setattr(verifier, "canonicalize", recording)
-    for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
-        inputs.update(enumerate_stable_graphs(g, n, e))
-        inputs.update(verifier.boundary_generators(g, n, e))
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_canonical_search", recording)
+        patch.setattr(verifier, "_canonical_search", recording)
+        for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
+            inputs.update(enumerate_stable_graphs(g, n, e))
+            inputs.update(verifier.boundary_generators(g, n, e))
     assert len(inputs) > 4000
     for g in inputs:
         _assert_search_matches_reference(g)
@@ -281,6 +285,32 @@ def test_canonical_search_matches_reference_on_random_graphs():
         features["non-discrete refinement"] += sum(1 for _ in candidate_orders_reference(g)) > 1
         features["ties"] += graphs._canonical_search.__wrapped__(g)[2] > 1
     assert min(features.values()) >= 30, features
+
+
+def test_canonical_form_is_compact_json_of_the_least_key():
+    """The encoder built once at import writes the bytes of ``json.dumps`` with
+    compact separators: empty and repeated kappa, multi-digit values,
+    self-loops and two components included."""
+    rng = random.Random(1302)
+    features = Counter()
+    for i in range(300):
+        g = random_decorated_graph(rng, connected=i % 2 > 0)
+        if i % 4 == 1:
+            g = disjoint_union(g, random_decorated_graph(rng, max_vertices=2))
+        if i % 3 == 0:
+            # multi-digit genera, markings and psi, and a repeated kappa
+            g = DecoratedGraph(tuple(h + 10 for h in g.genera),
+                               tuple((v, m + 9, 11 * p) for v, m, p in g.legs),
+                               g.edges, ((12, 12),) + g.kappa[1:])
+        form, canon, _ = graphs._canonical_search(g)
+        key = graphs._encode_under(canon, range(canon.n_vertices))
+        assert form == json.dumps(key, separators=(",", ":")).encode("ascii")
+        features["empty kappa"] += () in canon.kappa
+        features["repeated kappa"] += any(len(set(ks)) < len(ks) for ks in canon.kappa)
+        features["multi-digit"] += max(canon.genera) >= 10
+        features["self-loop"] += any(v1 == v2 for v1, _, v2, _ in canon.edges)
+        features["two components"] += component_count(canon) > 1
+    assert len(features) == 5 and min(features.values()) >= 30, features
 
 
 # --------------------------------------------------------------- automorphisms
@@ -466,20 +496,25 @@ def test_degenerations_and_decorations_are_built_in_normal_form():
     degenerations of every graph enumerated on the enumerate-ladder
     instances and of seeded decorated graphs (psi on edge ends, kappa), every
     decoration ``boundary_generators`` places there, and decorations of
-    degree 3 on some of those graphs."""
+    degree 3 on some of those graphs.  They also skip validation on their way
+    to the canonical-form search, so each must be valid; the verify-ladder
+    instances join the enumerate-ladder ones for that."""
     rng = random.Random(20261019)
     decorated = [random_decorated_graph(rng, genus_range=(0, 4)) for _ in range(60)]
     built = 0
-    for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
+    for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2),
+                    (6, 2, 2), (6, 3, 1), (9, 0, 2), (6, 2, 1)):
         found = enumerate_stable_graphs(g, n, e, min_edges=0)
         for graph in found + decorated:
             for cand in graphs._one_edge_degenerations(graph):
                 assert_normal_form(cand, graph)
+                assert cand.validate() == [], (cand, graph)
                 built += 1
         bases = [(base, e - base.n_edges) for base in found if base.n_edges]
         # degree 3 has the first kappa multiset listed unsorted, (2, 1)
         for base, d in bases + [(base, 3) for base in found[:5]]:
             for cand in verifier._decorations(base, d):
                 assert_normal_form(cand, base)
+                assert cand.validate() == [], (cand, base)
                 built += 1
     assert built > 10_000

@@ -15,6 +15,9 @@ from stratacalc import (
     SignatureError,
     TautClass,
     arithmetic_genus,
+    automorphism_count,
+    canonical_form,
+    canonicalize,
     component_count,
     cut_edges,
     disjoint_union,
@@ -405,19 +408,26 @@ def _stream_inputs():
 def test_candidate_streams_match_validated_reference():
     """The library streams skip unstable splits and genus-0 inputs without
     validating; the reference builds every candidate and keeps the valid
-    ones.  Both must agree in order, graph and coefficient."""
+    ones.  Both must agree in order, graph and coefficient.  Every candidate
+    of a connected input lies on the output ambient, which the operator
+    relies on without checking."""
     streams = ((_cut_candidates, cut_candidates_reference),
                (_reduce_candidates, reduce_candidates_reference),
                (_split_candidates, split_candidates_reference))
-    total = 0
+    total = checked = 0
     for graph, level, labels in _stream_inputs():
+        _, out = _output_signature(arithmetic_genus(graph), graph.markings(), labels)
         for fast, reference in streams:
             got = list(fast(graph, level, labels))
             assert got == list(reference(graph, level, labels)), (graph, level, labels)
             if arithmetic_genus(graph) == 0:
                 assert got == []
+            if component_count(graph) == 1:
+                for cand, _ in got:
+                    out.check(cand)
+                    checked += 1
             total += len(got)
-    assert total > 100_000
+    assert total > 100_000 and checked > 50_000
 
 
 def test_candidates_are_built_in_normal_form():
@@ -518,14 +528,22 @@ def test_move_level_signature_check_matches_candidate_checks():
     DecoratedGraph((1,), ((0, 1, 0), (3, 2, 0)), ()),       # dangling leg
     DecoratedGraph((2,), ((0, 1, 0), (0, 1, 1)), ()),       # duplicate marking
     DecoratedGraph((1, 1), (), ((0, 0, 1, -1),)),           # negative psi on an edge
+    # a leg at vertex -1, which an unchecked search would index from the end
+    DecoratedGraph((1, 1), ((0, 1, 0), (-1, 2, 0)), ((0, 0, 1, 0),)),
 ])
 def test_user_supplied_invalid_graphs_are_rejected(graph):
-    """The public operator parts validate their input; only the verifier's
-    private stream of canonical boundary graphs skips that."""
+    """The public operator parts, canonical-form functions and class
+    constructor validate the graph they are given; only the package's own
+    graphs, valid by construction, go to the canonical-form search unchecked."""
     diags = graph.validate()
     assert diags
+    ambient = AmbientSignature(2, frozenset(graph.markings()))
     for call in (lambda: list(operator_candidates(graph)), lambda: cut_edges(graph),
-                 lambda: reduce_genus(graph), lambda: split_vertices(graph)):
+                 lambda: reduce_genus(graph), lambda: split_vertices(graph),
+                 lambda: canonicalize(graph), lambda: canonical_form(graph),
+                 lambda: automorphism_count(graph),
+                 lambda: TautClass(ambient, [(graph, 1)]),
+                 lambda: fundamental_class(2, 2).coefficient_of(graph)):
         with pytest.raises(InvalidGraphError) as exc:
             call()
         assert exc.value.diagnostics == diags
