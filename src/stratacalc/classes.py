@@ -88,42 +88,39 @@ def _summed(den: int, *pairs) -> tuple[dict, int]:
     return {key: num // common for key, num in out.items() if num}, den // common
 
 
+def _rational(coeff) -> Fraction:
+    """``coeff``, an int or a Fraction, as a ``Fraction``; a float is refused,
+    not rounded."""
+    if isinstance(coeff, (int, Fraction)):
+        return Fraction(coeff)
+    raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
+
+
 def _numerators(terms) -> tuple[list, int]:
     """The ``(key, coeff)`` pairs of ``terms`` with a non-zero coefficient, as
     ``(key, numerator)`` pairs over the lcm of their denominators."""
     # Fraction() of an int or a Fraction would only copy it, slowly
-    ratios = [(key, (c if type(c) in (int, Fraction) else Fraction(c)).as_integer_ratio())
+    ratios = [(key, (c if type(c) in (int, Fraction) else _rational(c)).as_integer_ratio())
               for key, c in terms]
     ratios = [(key, num, d) for key, (num, d) in ratios if num]
     den = lcm(*(d for _, _, d in ratios))
     return [(key, num * (den // d)) for key, num, d in ratios], den
 
 
-def _numerator(coeff: Fraction, denominator: int) -> int:
-    """The integer ``coeff * denominator``; raises unless ``denominator`` is a
-    multiple of the denominator of ``coeff``."""
-    whole, rest = divmod(denominator, coeff.denominator)
-    if rest:
-        raise ValueError(f"{coeff} is not a multiple of 1/{denominator}")
-    return coeff.numerator * whole
-
-
-def _merged(ambient: AmbientSignature, terms, valid=False) -> tuple:
+def _merged(ambient: AmbientSignature, pairs, den: int, check=True) -> tuple:
     """``TautClass._of``'s arguments for the class on ``ambient`` holding the
-    ``(graph, coeff)`` pairs of ``terms``.  Every graph is validated, unless the
-    caller knows them all to be ``valid``, and canonicalized; each form, the
-    first time it is met, is checked against ``ambient`` (the signature is an
-    isomorphism invariant) and recorded with its representative."""
-    pairs, den = _numerators(terms)
+    valid graphs of the ``(graph, numerator)`` pairs over ``den``.  Every graph
+    is canonicalized; each form, the first time it is met, is recorded with its
+    representative and, if ``check``, checked against ``ambient`` (the
+    signature is an isomorphism invariant)."""
     graphs: dict[CanonicalForm, DecoratedGraph] = {}
 
     def forms():
         for graph, num in pairs:
-            if not valid:
-                graph.require_valid()
             form, canon, _ = _canonical_search(graph)
             if form not in graphs:
-                ambient.check(canon)
+                if check:
+                    ambient.check(canon)
                 graphs[form] = canon
             yield form, num
 
@@ -168,7 +165,7 @@ class _LinearCombination:
 
     def _times(self, coeff) -> tuple[dict, int]:
         """``(terms, den)`` of ``coeff`` times ``self``."""
-        coeff = Fraction(coeff)
+        coeff = _rational(coeff)
         if not coeff:
             return {}, 1
         # coeff and self are each in lowest terms: these are the only common factors
@@ -212,7 +209,10 @@ class TautClass(_LinearCombination):
     __slots__ = ("ambient", "_graphs")
 
     def __init__(self, ambient: AmbientSignature, terms=()):
-        self.ambient, self._terms, self._den, self._graphs = _merged(ambient, terms)
+        pairs, den = _numerators(terms)
+        # each graph is validated just before its search: errors come in term order
+        self.ambient, self._terms, self._den, self._graphs = _merged(
+            ambient, ((graph.require_valid(), num) for graph, num in pairs), den)
 
     @classmethod
     def _of(cls, ambient: AmbientSignature, terms: dict, den: int,

@@ -205,10 +205,12 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "genera legs edges kappa")):
                 diags.append(f"negative arithmetic genus: {pa}")
         return diags
 
-    def require_valid(self) -> None:
+    def require_valid(self) -> "DecoratedGraph":
+        """This graph, unless ``validate()`` finds a fault: then it raises."""
         diags = self.validate()
         if diags:
             raise InvalidGraphError(diags)
+        return self
 
 
 def _sorted_edges(edges) -> tuple:

@@ -13,13 +13,16 @@ two extra legs labelled i and j:
   edge ends and kappa factors in all possible ways, leg i (psi^(level-1-m)) on
   the first part and leg j (psi^m) on the second, coefficient (1/2)(-1)^(m+1).
 
-Each operation is a stream of raw candidates: ``(graph, coeff)`` pairs,
-neither canonicalized nor merged, that are valid and in normal form by
+Each operation is a stream of raw candidates: ``(graph, sign)`` pairs with
+``sign = +-1`` standing for the coefficient ``sign / 2``, neither
+canonicalized nor merged, whose graphs are valid and in normal form by
 construction.  Every candidate of a valid input has the input's arithmetic
 genus minus one, so a genus-0 input yields no candidate at all; cut and
 reduce keep every vertex stable, and a split whose part would be unstable is
-skipped before its graph is built.  Building a ``TautClass`` from a stream
-merges isomorphic candidates, which go to the canonical-form search unchecked.
+skipped before its graph is built.  Every image is built by the one merge,
+``classes._merged``, over the denominator 2 for one graph and ``2 * den`` for
+a class over ``den``; isomorphic candidates go to the canonical-form search
+unchecked.
 ``operator_candidates`` chains the three streams of one graph, for callers
 that read only part of the image: it can skip every move whose shape (edge
 count, psi on i and j) is not wanted before building it, and check every
@@ -36,12 +39,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .classes import AmbientSignature, TautClass, _merged, _numerator, _summed
+from .classes import AmbientSignature, TautClass, _merged
 from .errors import SignatureError
 from .graphs import (
     _BY_MARKING,
     DecoratedGraph,
-    _canonical_search,
     _moved_half_edges,
     arithmetic_genus,
     component_count,
@@ -87,10 +89,10 @@ def _with_new_legs(legs, i_leg, j_leg):
 
 
 def _levels(graph: DecoratedGraph, level: int, shapes):
-    """``(m, (-1)^(m+1) / 2)`` for each m in 0..level-1 whose reduce and split
-    moves are wanted: they keep every edge, so their shape is (#edges,
-    level-1-m, m)."""
-    return [(m, Fraction((-1) ** (m + 1), 2)) for m in range(level)
+    """``(m, (-1)^(m+1))``, the sign of the coefficient over 2, for each m in
+    0..level-1 whose reduce and split moves are wanted: they keep every edge,
+    so their shape is (#edges, level-1-m, m)."""
+    return [(m, (-1) ** (m + 1)) for m in range(level)
             if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
 
 
@@ -98,17 +100,17 @@ def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    on_i, on_j = Fraction(1, 2), Fraction((-1) ** level, 2)
+    on_i, on_j = 1, (-1) ** level
     # a cut keeps the other edges and adds level to the psi of one cut end
     kept_edges = graph.n_edges - 1
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
-            for di, dj, coeff in ((level, 0, on_i), (0, level, on_j)):
+            for di, dj, sign in ((level, 0, on_i), (0, level, on_j)):
                 if shapes is not None and (kept_edges, ip + di, jp + dj) not in shapes:
                     continue
                 legs = _with_new_legs(graph.legs, (iv, i_lab, ip + di), (jv, j_lab, jp + dj))
-                yield DecoratedGraph._of(graph.genera, legs, rest, graph.kappa), coeff
+                yield DecoratedGraph._of(graph.genera, legs, rest, graph.kappa), sign
 
 
 def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
@@ -120,9 +122,9 @@ def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-        for m, coeff in levels:
+        for m, sign in levels:
             legs = _with_new_legs(graph.legs, (v, i_lab, level - 1 - m), (v, j_lab, m))
-            yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), coeff
+            yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), sign
 
 
 def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
@@ -142,7 +144,7 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
             for bit, k in enumerate(kappa[v]):
                 split[mask >> bit & 1].append(k)
             kappas.append(kappa[:v] + (tuple(split[0]),) + kappa[v + 1:] + (tuple(split[1]),))
-        for m, coeff in levels:
+        for m, sign in levels:
             i_leg, j_leg = (v, i_lab, level - 1 - m), (new_v, j_lab, m)
             for g1 in range(h + 1):
                 parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
@@ -152,7 +154,7 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
                           if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
                 for split_kappa in kappas:
                     for legs, edges in stable:
-                        yield DecoratedGraph._of(parts, legs, edges, split_kappa), coeff
+                        yield DecoratedGraph._of(parts, legs, edges, split_kappa), sign
 
 
 #: Candidate stream of each operation, in the order the operator sums them.
@@ -169,7 +171,7 @@ def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
     decoration already sitting on the cut half-edge.
     """
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass._of(*_merged(ambient, _cut_candidates(graph, level, labels), valid=True))
+    return TautClass._of(*_merged(ambient, _cut_candidates(graph, level, labels), 2))
 
 
 def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
@@ -179,7 +181,7 @@ def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
     carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
     """
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, level, labels), valid=True))
+    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, level, labels), 2))
 
 
 def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
@@ -193,14 +195,14 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
     leg i and psi^m on leg j, m in 0..level-1.
     """
     labels, ambient = _prepare(graph, level, labels)
-    return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), valid=True))
+    return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), 2))
 
 
 def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
                         ambient=None):
     """Yield the raw candidates of cut, reduce and split for one graph.
 
-    Each item is a ``(graph, coeff)`` pair, valid by construction, neither
+    Each item is a ``(graph, +-1/2)`` pair, valid by construction, neither
     canonicalized nor merged; ``TautClass(ambient, operator_candidates(graph))``
     on the output ambient is the operator image of ``graph``.
 
@@ -210,12 +212,13 @@ def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
     it before the first is yielded; otherwise checks are left to the consumer.
     """
     labels, _ = _prepare(graph, level, labels)
-    yield from _candidates_of_valid(graph, level, labels, shapes, ambient)
+    for cand, sign in _candidates_of_valid(graph, level, labels, shapes, ambient):
+        yield cand, Fraction(sign, 2)
 
 
 def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
-    """``operator_candidates`` of a graph already known to be valid, such as
-    a boundary generator, with level and labels already checked."""
+    """``operator_candidates``, as signs over 2, of a graph already known to be
+    valid, such as a boundary generator, with level and labels checked."""
     if ambient is not None:
         # all candidates share genus and markings and have at most one more
         # component than graph: below the bound the first stands for all
@@ -236,20 +239,11 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
     if level < 1:
         raise ValueError("level must be >= 1")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
-    graphs = {}
-
-    def numerators():
-        # every stream coefficient is +-1/2, so 2 * x._den is a denominator of the sum;
-        # the candidates of a valid term on a connected ambient are valid and lie on out
-        for form, num in x._terms.items():
-            for stream in streams:
-                for cand, c in stream(x._graphs[form], level, labels):
-                    key, canon, _ = _canonical_search(cand)
-                    graphs[key] = canon
-                    yield key, num * _numerator(c, 2)
-
-    terms, den = _summed(2 * x._den, numerators())
-    return TautClass._of(out, terms, den, graphs)
+    # signs over 2 times x's numerators lie over 2 * x._den; the candidates of
+    # a valid term on a connected ambient are valid and lie on out
+    pairs = ((cand, num * sign) for form, num in x._terms.items() for stream in streams
+             for cand, sign in stream(x._graphs[form], level, labels))
+    return TautClass._of(*_merged(out, pairs, 2 * x._den, check=False))
 
 
 def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:

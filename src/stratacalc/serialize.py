@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import AmbientSignature, TautClass, _merged
+from .classes import AmbientSignature, TautClass, _merged, _numerators
 from .errors import InvalidGraphError
 from .graphs import DecoratedGraph
 from .pushforward import InteriorClass, InteriorMonomial
@@ -164,7 +164,7 @@ def class_from_obj(obj) -> TautClass:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError(f"malformed class object: {exc}") from None
     # graph_from_obj validated every graph; the ambient check still runs
-    return TautClass._of(*_merged(ambient, terms, valid=True))
+    return TautClass._of(*_merged(ambient, *_numerators(terms)))
 
 
 # ----------------------------------------------------------- interior classes

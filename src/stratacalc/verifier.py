@@ -482,7 +482,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                   for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
     for r, G in enumerate(gen_graphs + bgraphs):
         image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb)
-        for form, graph, coeff in TautClass._of(*_merged(out_amb, image, valid=True)).items():
+        for form, graph, coeff in TautClass._of(*_merged(out_amb, image, 2)).items():
             if form in rows:
                 rows[form][r] = coeff
             if r >= len(gens) and _shape(graph, i_lab, j_lab) == _BARE:

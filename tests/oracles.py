@@ -19,7 +19,8 @@ candidate and keep those that ``validate()`` accepts.  The ``*_reference``
 interior maps keep the former forgetful pushforward and pullback, which expand
 every index subset of the kappa factors through the public constructors.
 ``operator_reference`` keeps the operator's former class build, which
-multiplies and sums every raw term's coefficient as a ``Fraction``.
+multiplies and sums every raw term's coefficient as a ``Fraction``, the
+stream's sign ``c`` read as ``Fraction(c, 2)``.
 ``validate_reference`` and ``canonical_search_reference`` keep the former
 graph validation, which recounts each vertex's valence, and the former
 canonical-form search, which refines colors to a fixed point, sorts legs and
@@ -510,11 +511,11 @@ def split_candidates_reference(graph: DecoratedGraph, level: int, labels):
 
 def operator_reference(x: TautClass, parts=tuple(_PARTS), level: int = 1) -> TautClass:
     """The named parts of the operator image of ``x``: one ``TautClass`` of
-    every candidate of every term, its coefficient ``coeff * c``."""
+    every candidate of every term, its coefficient ``coeff * c / 2``."""
     if x.ambient.max_components != 1:
         raise SignatureError("the genus-lowering operator expects a connected ambient")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
-    return TautClass(out, ((cand, coeff * c)
+    return TautClass(out, ((cand, coeff * Fraction(c, 2))
                            for _, graph, coeff in x.items()
                            for name in parts
                            for cand, c in _PARTS[name](graph, level, labels)))

@@ -17,6 +17,7 @@ from stratacalc import (
     SignatureError,
     TautClass,
     forget_pushforward,
+    fundamental_class,
     generator_monomials,
     invariance_operator,
     monomial_class,
@@ -24,7 +25,7 @@ from stratacalc import (
     single_vertex,
     zero_class,
 )
-from stratacalc.classes import _numerator, _summed
+from stratacalc.classes import _summed
 from stratacalc.serialize import (
     class_from_obj,
     class_to_obj,
@@ -83,6 +84,18 @@ def test_signature_mismatch_rejected():
         TautClass(amb, [(single_vertex(2, [(1, 0)]), 1)])
 
 
+def test_first_faulty_term_raises_first():
+    """Each term is validated, searched and checked before the next one: the
+    first faulty term in the given order decides which error is raised."""
+    amb = AmbientSignature(2, frozenset({1, 2}))
+    off_ambient = single_vertex(3, [1, 2])
+    invalid = single_vertex(0, [1, 2])
+    with pytest.raises(SignatureError):
+        TautClass(amb, [(off_ambient, 1), (invalid, 1)])
+    with pytest.raises(InvalidGraphError):
+        TautClass(amb, [(invalid, 1), (off_ambient, 1)])
+
+
 @pytest.mark.parametrize("build", [
     lambda: DecoratedGraph((2.7,), ((0, 1.9, 0),)),
     lambda: DecoratedGraph((1, 1), (), ((0, 0, 1, 0.5),)),
@@ -95,11 +108,17 @@ def test_signature_mismatch_rejected():
     lambda: AmbientSignature(2, frozenset({1}), 1.0),
     lambda: InteriorClass(2.5, 1),
     lambda: InteriorClass(2, 1.0),
+    lambda: TautClass(AmbientSignature(2, ()), [(single_vertex(2), 0.1)]),
+    lambda: fundamental_class(2, 0).scale(0.1),
+    lambda: 0.1 * fundamental_class(2, 0),
+    lambda: InteriorClass(2, 1, [(InteriorMonomial((1,)), 0.1)]),
 ], ids=["graph-genus-marking", "graph-edge-psi", "graph-kappa", "single-vertex-genus",
         "monomial-kappa-psi", "monomial-marking", "ambient-marking", "ambient-genus",
-        "ambient-max-components", "interior-genus", "interior-n"])
+        "ambient-max-components", "interior-genus", "interior-n", "class-coefficient",
+        "class-scale", "class-rmul", "interior-coefficient"])
 def test_constructors_refuse_non_integers(build):
-    """A float is refused, not truncated to an integer."""
+    """A float is refused, not truncated to an integer or rounded to the
+    nearest fraction."""
     with pytest.raises(TypeError):
         build()
 
@@ -124,12 +143,8 @@ def test_constructors_refuse_out_of_range_values(build):
 
 
 def test_integer_numerators_are_exact():
-    """Sums over one denominator: a coefficient whose denominator does not
-    divide it is refused, never rounded, and cancelled keys are dropped."""
-    assert _numerator(Fraction(-3, 4), 8) == -6
-    assert _numerator(Fraction(5), 3) == 15
-    with pytest.raises(ValueError):
-        _numerator(Fraction(1, 3), 2)
+    """Sums over one denominator are brought to lowest terms, and cancelled
+    keys are dropped."""
     terms, den = _summed(6, [("a", 1), ("b", 3), ("a", -1), ("b", 1)])
     assert Fraction(terms["b"], den) == Fraction(2, 3) and terms == {"b": 2} and den == 3
     assert all(type(num) is int for num in terms.values())

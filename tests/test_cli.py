@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from stratacalc import verifier
+from stratacalc import DecoratedGraph, single_vertex, verifier
 from stratacalc.cli import main
 from stratacalc.serialize import (
     class_from_obj,
     class_to_obj,
     graph_from_obj,
+    graph_to_obj,
     interior_from_obj,
     interior_to_obj,
     load_file,
@@ -96,6 +97,32 @@ def test_r1_zero_class(tmp_path):
 
 def test_r1_mismatched_ambient_exits_2():
     assert run("r1", "--in", FIXTURES / "mismatched_ambient.json") == 2
+
+
+# the Petersen graph: ten genus-0 trivalent vertices, fifteen edges, genus 6
+PETERSEN = DecoratedGraph((0,) * 10, (), tuple(
+    (a, 0, b, 0) for a, b in [(v, (v + 1) % 5) for v in range(5)]
+    + [(v, v + 5) for v in range(5)] + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]))
+
+
+@pytest.mark.parametrize("first,code,message", [
+    (single_vertex(5), 2, "invalid input: graph has arithmetic genus 5, ambient requires 6\n"),
+    (PETERSEN, 3, "size guard exceeded: "),
+], ids=["off-ambient-first", "petersen-first"])
+def test_r1_reports_the_first_faulty_term(tmp_path, capsys, first, code, message):
+    """Each term of a class file is checked against the ambient when it is
+    merged, before the next term's canonical-form search: a genus-5 term
+    ahead of the Petersen graph exits 2, and the Petersen graph ahead of it
+    exits 3.  The two orders tell the checks apart only while the search
+    refuses the Petersen graph, whose one refinement cell of 10 vertices
+    exceeds ``graphs._ORDERING_GUARD``."""
+    second = PETERSEN if first is not PETERSEN else single_vertex(5)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "ambient": {"genus": 6, "markings": [], "max_components": 1},
+        "terms": [{"coeff": "1", "graph": graph_to_obj(g)} for g in (first, second)]}))
+    assert run("r1", "--in", path, "--out", tmp_path / "x.json") == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_r1_level2_needs_experimental(tmp_path):

@@ -5,7 +5,8 @@ import json
 import pickle
 import random
 from collections import Counter
-from math import factorial
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -416,6 +417,38 @@ def test_enumerate_full_genus2_poset():
     levels = {e: len(enumerate_stable_graphs(2, 0, e, min_edges=e))
               for e in range(4)}
     assert levels == {0: 1, 1: 2, 2: 2, 3: 2}
+
+
+# Values from outside this package: the strata counts of M_g-bar (g = 2..4)
+# and of M_{0,n}-bar (Schroeder's fourth problem, OEIS A000311)
+@pytest.mark.parametrize("g,n,count", [(2, 0, 7), (3, 0, 42), (4, 0, 379), (0, 4, 4),
+                                       (0, 5, 26), (0, 6, 236), (0, 7, 2752)])
+def test_strata_counts_match_published_values(g, n, count):
+    assert len(enumerate_stable_graphs(g, n, 3 * g - 3 + n, min_edges=0)) == count
+
+
+def _euler_characteristic_of_open_stratum(genus: int, valence: int) -> Fraction:
+    """Harer-Zagier chi(M_{g,n}) for the cases met below: (-1)^(n-3) (n-3)! in
+    genus 0, and chi(M_{1,1}) = -1/12, chi(M_{1,2}) = 1/12."""
+    if genus == 0:
+        return Fraction((-1) ** (valence - 3) * factorial(valence - 3))
+    return {(1, 1): Fraction(-1, 12), (1, 2): Fraction(1, 12)}[genus, valence]
+
+
+@pytest.mark.parametrize("g,n,chi", [(0, 4, 2), (0, 5, 7), (0, 6, 34), (0, 7, 213),
+                                     (1, 1, Fraction(5, 12)), (1, 2, Fraction(1, 2))])
+def test_orbifold_euler_characteristic_over_the_strata(g, n, chi):
+    """``sum over strata of prod_v chi(M_{g_v,n_v}) / |Aut|`` is the orbifold
+    Euler characteristic of M_{g,n}-bar: the Euler numbers of Keel's Betti
+    numbers for M_{0,n}-bar, and 5/12 and 1/2 in genus 1.  The sum exercises
+    enumeration, canonical forms and ``automorphism_count`` together."""
+    total = Fraction(0)
+    for G in enumerate_stable_graphs(g, n, 3 * g - 3 + n, min_edges=0):
+        valence = Counter(v for v, _, _ in G.legs)
+        valence.update(v for v1, _, v2, _ in G.edges for v in (v1, v2))
+        total += Fraction(prod(_euler_characteristic_of_open_stratum(G.genera[v], valence[v])
+                               for v in range(G.n_vertices)), automorphism_count(G))
+    assert total == chi
 
 
 @pytest.mark.parametrize("g,n,emax", [(2, 0, 2), (3, 0, 1), (1, 1, 2), (2, 1, 2),

@@ -1,6 +1,8 @@
 """Generator/boundary enumeration, witnesses, coefficient systems, reports."""
 
+from collections import Counter
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -427,7 +429,8 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
 
 
 def _inject(monkeypatch, target, extras):
-    """Append ``extras`` to the verifier's candidate stream of ``target``."""
+    """Append ``extras``, ``(graph, sign)`` pairs whose coefficient is ``sign /
+    2`` as in the stream, to the verifier's candidate stream of ``target``."""
     real = verifier._candidates_of_valid
 
     def stream(graph, *args, **kwargs):
@@ -452,10 +455,10 @@ KAPPA1_WITNESS_SWAPPED = disjoint_union(single_vertex(1, [(2, 0)]),
     ([(BARE, 1)], 1, False),
     ([(BARE, 1), (BARE_SWAPPED, 1)], 1, False),
     ([(BARE, 1), (BARE_SWAPPED, -1)], 0, False),
-    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 1, False),
+    ([(KAPPA1_WITNESS, 1), (KAPPA1_WITNESS_SWAPPED, 3)], 1, False),
     # into the image of the kappa_1 generator: its self coefficient moves, and
     # bare terms of a generator image are no structural violation
-    ([(KAPPA1_WITNESS, Fraction(1, 2)), (KAPPA1_WITNESS_SWAPPED, Fraction(1, 3))], 0, True),
+    ([(KAPPA1_WITNESS, 1), (KAPPA1_WITNESS_SWAPPED, 3)], 0, True),
 ], ids=["extras0-1", "extras1-1", "extras2-0", "extras3-1", "generator-extras3-0"])
 def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural,
                                               into_generator):
@@ -472,7 +475,7 @@ def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural,
 
     def image(G):
         full = invariance_operator(TautClass(amb, [(G, 1)]))
-        return full + TautClass(out, extras) if G == target else full
+        return full + TautClass(out, extras).scale(Fraction(1, 2)) if G == target else full
 
     _assert_matches_reference(rep, *full_image_extraction(
         g, n, k, boundary_image=image,
@@ -487,3 +490,28 @@ def test_candidate_off_the_ambient_raises_even_when_filtered_out(monkeypatch):
     _inject(monkeypatch, boundary_generators(6, 0, 1)[-1], [(stray, 1)])
     with pytest.raises(SignatureError, match="arithmetic genus 6"):
         verify_witness_independence(6, 0, 1)
+
+
+
+def test_witness_self_coefficients_match_the_split_rule():
+    """A witness is two single vertices, leg i on the first, reached from the
+    generator only by splits with psi^0 on i and j, coefficient -1/2 each.  A
+    split sends each kappa factor to either part, so the self coefficient is
+    ``-1/2 * prod_a C(m_a, m_a^i)``: m_a is the multiplicity of kappa_a in the
+    monomial, m_a^i its multiplicity on the part with leg i.  This is read off
+    the monomial and the witness parts alone, with no graph built."""
+    seen = Counter()
+    for g, n, k in ((6, 0, 2), (6, 2, 2), (6, 3, 1), (9, 0, 2), (6, 2, 1), (9, 1, 3),
+                    (6, 4, 2), (12, 0, 3)):
+        monos = {str(m): m for m in generator_monomials(g, n, k)}
+        for entry in verify_witness_independence(g, n, k).entries:
+            if entry.branch != "witness-split":
+                continue
+            mono = monos[entry.monomial]
+            (_, _, kappa_i), _ = verifier._witness_parts(mono, g, n)
+            want = Fraction(-1, 2) * prod(comb(mono.kappa.count(a), kappa_i.count(a))
+                                          for a in set(mono.kappa))
+            assert Fraction(entry.self_coefficient) == want, (g, n, k, entry.monomial)
+            seen[want] += 1
+    # kappa_1^2 at (6, 0, 2) and kappa_1^3 at (9, 1, 3) split their factors
+    assert sum(seen.values()) == 35 and seen[-1] and seen[Fraction(-3, 2)], seen
