@@ -12,13 +12,10 @@ from .classes import (
     ZERO_DEGREE,
     AmbientSignature,
     TautClass,
-    fundamental_class,
     monomial_class,
-    zero_class,
 )
 from .errors import InvalidGraphError, SignatureError, SizeGuardError
 from .graphs import (
-    CanonicalForm,
     DecoratedGraph,
     arithmetic_genus,
     automorphism_count,
@@ -32,7 +29,6 @@ from .graphs import (
 from .invariance import (
     cut_edges,
     invariance_operator,
-    invariance_parts,
     reduce_genus,
     split_vertices,
 )
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientSignature",
-    "CanonicalForm",
     "DecoratedGraph",
     "INHOMOGENEOUS",
     "InteriorClass",
@@ -82,11 +77,9 @@ __all__ = [
     "enumerate_stable_graphs",
     "faber_constant",
     "forget_pushforward",
-    "fundamental_class",
     "generator_monomials",
     "interior_to_taut",
     "invariance_operator",
-    "invariance_parts",
     "kappa_nonvanishing_report",
     "monomial_class",
     "pullback_lift",
@@ -98,5 +91,4 @@ __all__ = [
     "verify_kappa_identity",
     "verify_witness_independence",
     "witness_graph_for",
-    "zero_class",
 ]

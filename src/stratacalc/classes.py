@@ -11,7 +11,7 @@ automorphism factors are folded in.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
@@ -33,28 +33,25 @@ ZERO_DEGREE = "zero"
 INHOMOGENEOUS = "inhomogeneous"
 
 
-@dataclass(frozen=True)
-class AmbientSignature:
-    """Ambient of a class: genus, marking labels, and component bound (1 or 2)."""
+class AmbientSignature(namedtuple("AmbientSignature", "genus markings max_components")):
+    """Ambient of a class: genus, marking labels, and component bound (1 or 2).
 
-    genus: int
-    markings: frozenset[int]
-    max_components: int = 1
+    The named tuple of its fields; it compares and hashes as that tuple."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "genus", index(self.genus))
-        object.__setattr__(self, "markings", frozenset(map(index, self.markings)))
-        object.__setattr__(self, "max_components", index(self.max_components))
-        if self.max_components not in (1, 2):
+    __slots__ = ()
+
+    def __new__(cls, genus, markings, max_components=1):
+        genus, markings = index(genus), frozenset(map(index, markings))
+        max_components = index(max_components)
+        if max_components not in (1, 2):
             raise ValueError("max_components must be 1 or 2")
-        below = sorted(m for m in self.markings if m < 1)
+        below = sorted(m for m in markings if m < 1)
         if below:
             raise ValueError(f"markings must be >= 1, got {below}")
-        # not a field: stays out of __eq__, __hash__ and repr
-        object.__setattr__(self, "_marking_tuple", tuple(sorted(self.markings)))
+        return tuple.__new__(cls, (genus, markings, max_components))
 
     def marking_tuple(self) -> tuple[int, ...]:
-        return self._marking_tuple
+        return tuple(sorted(self.markings))
 
     def check(self, graph: DecoratedGraph) -> None:
         """Raise ``SignatureError`` unless the valid ``graph`` lies on this ambient:
@@ -63,10 +60,10 @@ class AmbientSignature:
         if pa != self.genus:
             raise SignatureError(
                 f"graph has arithmetic genus {pa}, ambient requires {self.genus}")
-        if graph.markings() != self._marking_tuple:
+        if {m for _, m, _ in graph.legs} != self.markings:
             raise SignatureError(
                 f"graph markings {graph.markings()} differ from ambient "
-                f"{self._marking_tuple}")
+                f"{self.marking_tuple()}")
         if component_count(graph) > self.max_components:
             raise SignatureError(
                 f"graph has {component_count(graph)} components, ambient allows "
@@ -97,14 +94,14 @@ def _rational(coeff) -> Fraction:
 
 
 def _numerators(terms) -> tuple[list, int]:
-    """The ``(key, coeff)`` pairs of ``terms`` with a non-zero coefficient, as
-    ``(key, numerator)`` pairs over the lcm of their denominators."""
+    """The ``(key, coeff)`` pairs of ``terms`` as ``(key, numerator)`` pairs
+    over the lcm of their denominators.  A zero coefficient is kept, so its
+    key is checked like any other; the sum drops it."""
     # Fraction() of an int or a Fraction would only copy it, slowly
     ratios = [(key, (c if type(c) in (int, Fraction) else _rational(c)).as_integer_ratio())
               for key, c in terms]
-    ratios = [(key, num, d) for key, (num, d) in ratios if num]
-    den = lcm(*(d for _, _, d in ratios))
-    return [(key, num * (den // d)) for key, num, d in ratios], den
+    den = lcm(*(d for _, (_, d) in ratios))
+    return [(key, num * (den // d)) for key, (num, d) in ratios], den
 
 
 def _merged(ambient: AmbientSignature, pairs, den: int, check=True) -> tuple:
@@ -256,10 +253,6 @@ class TautClass(_LinearCombination):
                 f"markings={self.ambient.marking_tuple()}, terms={len(self)})")
 
 
-def zero_class(ambient: AmbientSignature) -> TautClass:
-    return TautClass(ambient, ())
-
-
 def monomial_class(genus: int, n: int, kappa=(), psi=None) -> TautClass:
     """One-term class kappa^I psi^J on the smooth single-vertex graph of (genus, n).
 
@@ -273,7 +266,3 @@ def monomial_class(genus: int, n: int, kappa=(), psi=None) -> TautClass:
     graph = single_vertex(genus, [(m, psi.get(m, 0)) for m in range(1, n + 1)], kappa)
     ambient = AmbientSignature(genus, frozenset(range(1, n + 1)), 1)
     return TautClass(ambient, [(graph, 1)])
-
-
-def fundamental_class(genus: int, n: int) -> TautClass:
-    return monomial_class(genus, n)

@@ -135,8 +135,7 @@ def _cmd_verify(args) -> int:
                                          recursive=args.recursive,
                                          witness_overrides=overrides)
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(report.to_json())
+        dump_file(report.to_obj(), args.report)
     if args.text:
         sys.stdout.write(report.to_text())
     elif not args.report:

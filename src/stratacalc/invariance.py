@@ -22,13 +22,8 @@ reduce keep every vertex stable, and a split whose part would be unstable is
 skipped before its graph is built.  Every image is built by the one merge,
 ``classes._merged``, over the denominator 2 for one graph and ``2 * den`` for
 a class over ``den``; isomorphic candidates go to the canonical-form search
-unchecked.
-``operator_candidates`` chains the three streams of one graph, for callers
-that read only part of the image: it can skip every move whose shape (edge
-count, psi on i and j) is not wanted before building it, and check every
-move against an output ambient.  The new labels are the two integers
-following the largest input marking, so a class on markings 1..n acquires
-legs n+1 (= i) and n+2 (= j).
+unchecked.  The new labels are the two integers following the largest input
+marking, so a class on markings 1..n acquires legs n+1 (= i) and n+2 (= j).
 
 Everything is pure and deterministic: the result is independent of the
 evaluation order because terms merge by canonical form.
@@ -37,7 +32,6 @@ evaluation order because terms merge by canonical form.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .classes import AmbientSignature, TautClass, _merged
 from .errors import SignatureError
@@ -49,38 +43,23 @@ from .graphs import (
     component_count,
 )
 
-__all__ = [
-    "cut_edges",
-    "reduce_genus",
-    "split_vertices",
-    "operator_candidates",
-    "invariance_operator",
-    "invariance_parts",
-]
 
-
-def _output_signature(genus: int, markings, labels=None):
-    """New leg labels (i, j), by default the two integers after the largest
-    marking, and the output ambient (genus - 1, markings + {i, j}, 2)."""
+def _output_signature(genus: int, markings):
+    """New leg labels (i, j), the two integers after the largest marking, and
+    the output ambient (genus - 1, markings + {i, j}, 2)."""
     base = max(markings, default=0)
-    labels = labels or (base + 1, base + 2)
-    i_lab, j_lab = labels
-    if i_lab == j_lab or i_lab < 1 or j_lab < 1:
-        raise SignatureError(f"new leg labels must be distinct positive markings, "
-                             f"got {labels}")
-    if {i_lab, j_lab} & set(markings):
-        raise SignatureError(f"new leg labels {labels} collide with existing markings")
+    labels = (base + 1, base + 2)
     return labels, AmbientSignature(genus - 1, frozenset(markings) | set(labels), 2)
 
 
-def _prepare(graph: DecoratedGraph, level: int, labels):
+def _prepare(graph: DecoratedGraph, level: int):
     """Validate an input graph; its new leg labels and output ambient."""
     graph.require_valid()
     if level < 1:
         raise ValueError("level must be >= 1")
     # genus-0 inputs land on a genus -1 ambient, which can only hold the
     # zero class (the candidate streams of a genus-0 graph are empty)
-    return _output_signature(arithmetic_genus(graph), graph.markings(), labels)
+    return _output_signature(arithmetic_genus(graph), graph.markings())
 
 
 def _with_new_legs(legs, i_leg, j_leg):
@@ -162,7 +141,7 @@ _PARTS = {"cut": _cut_candidates, "reduce": _reduce_candidates,
           "split": _split_candidates}
 
 
-def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
+def cut_edges(graph, level: int = 1) -> TautClass:
     """Cut every edge in turn, in both i/j labellings, with an extra psi power.
 
     Each edge contributes four raw terms: psi^level multiplied onto the i leg
@@ -170,21 +149,21 @@ def cut_edges(graph, level: int = 1, labels=None) -> TautClass:
     under both label assignments.  The extra power multiplies any psi
     decoration already sitting on the cut half-edge.
     """
-    labels, ambient = _prepare(graph, level, labels)
+    labels, ambient = _prepare(graph, level)
     return TautClass._of(*_merged(ambient, _cut_candidates(graph, level, labels), 2))
 
 
-def reduce_genus(graph, level: int = 1, labels=None) -> TautClass:
+def reduce_genus(graph, level: int = 1) -> TautClass:
     """Lower the genus of each vertex by one, attaching decorated legs i and j.
 
     For every vertex of genus >= 1 and every m in 0..level-1 the new legs
     carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
     """
-    labels, ambient = _prepare(graph, level, labels)
+    labels, ambient = _prepare(graph, level)
     return TautClass._of(*_merged(ambient, _reduce_candidates(graph, level, labels), 2))
 
 
-def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
+def split_vertices(graph, level: int = 1) -> TautClass:
     """Split each vertex into an ordered pair of vertices, leg i on the first.
 
     All ordered genus splits (g1, g2) are enumerated, every leg and edge end
@@ -194,31 +173,19 @@ def split_vertices(graph, level: int = 1, labels=None) -> TautClass:
     canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
     leg i and psi^m on leg j, m in 0..level-1.
     """
-    labels, ambient = _prepare(graph, level, labels)
+    labels, ambient = _prepare(graph, level)
     return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), 2))
 
 
-def operator_candidates(graph, level: int = 1, labels=None, shapes=None,
-                        ambient=None):
-    """Yield the raw candidates of cut, reduce and split for one graph.
-
-    Each item is a ``(graph, +-1/2)`` pair, valid by construction, neither
-    canonicalized nor merged; ``TautClass(ambient, operator_candidates(graph))``
-    on the output ambient is the operator image of ``graph``.
+def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
+    """The candidates of cut, reduce and split, in that order, of a graph
+    already known to be valid, such as a boundary generator.
 
     With ``shapes``, only the moves whose candidates have a shape (edge count,
     psi on leg i, psi on leg j) in ``shapes`` are built, the shape read off the
     move.  With ``ambient``, every candidate, built or not, is checked against
     it before the first is yielded; otherwise checks are left to the consumer.
     """
-    labels, _ = _prepare(graph, level, labels)
-    for cand, sign in _candidates_of_valid(graph, level, labels, shapes, ambient):
-        yield cand, Fraction(sign, 2)
-
-
-def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
-    """``operator_candidates``, as signs over 2, of a graph already known to be
-    valid, such as a boundary generator, with level and labels checked."""
     if ambient is not None:
         # all candidates share genus and markings and have at most one more
         # component than graph: below the bound the first stands for all
@@ -244,15 +211,6 @@ def _collect(x: TautClass, streams, level: int) -> TautClass:
     pairs = ((cand, num * sign) for form, num in x._terms.items() for stream in streams
              for cand, sign in stream(x._graphs[form], level, labels))
     return TautClass._of(*_merged(out, pairs, 2 * x._den, check=False))
-
-
-def invariance_parts(x: TautClass, level: int = 1) -> dict[str, TautClass]:
-    """Per-operation provenance of the operator output (diagnostic mode).
-
-    Returns ``{"cut": ..., "reduce": ..., "split": ...}`` on the common output
-    ambient; their sum is ``invariance_operator(x, level)``.
-    """
-    return {name: _collect(x, (stream,), level) for name, stream in _PARTS.items()}
 
 
 def invariance_operator(x: TautClass, level: int = 1,

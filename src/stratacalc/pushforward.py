@@ -35,21 +35,6 @@ from .classes import (
 from .errors import SignatureError
 from .graphs import single_vertex
 
-__all__ = [
-    "InteriorMonomial",
-    "InteriorClass",
-    "forget_pushforward",
-    "pullback_lift",
-    "double_factorial",
-    "faber_constant",
-    "verify_kappa_identity",
-    "KappaIdentityReport",
-    "kappa_nonvanishing_report",
-    "KappaNonvanishingReport",
-    "taut_to_interior",
-    "interior_to_taut",
-]
-
 
 class InteriorMonomial(namedtuple("InteriorMonomial", "kappa psi")):
     """A generator kappa^I psi^J: kappa multiset plus per-marking psi exponents.

@@ -52,7 +52,6 @@ from stratacalc.invariance import (
     _PARTS,
     _output_signature,
     invariance_operator,
-    operator_candidates,
 )
 from stratacalc.pushforward import InteriorClass, InteriorMonomial
 from stratacalc.verifier import (
@@ -335,10 +334,11 @@ def targeted_image_reference(graph: DecoratedGraph, ambient: AmbientSignature,
     those of a wanted shape.
     """
     def kept():
-        for cand, coeff in operator_candidates(graph, labels=(i_lab, j_lab)):
-            ambient.check(cand)
-            if _shape(cand, i_lab, j_lab) in shapes:
-                yield cand, coeff
+        for stream in _PARTS.values():
+            for cand, sign in stream(graph, 1, (i_lab, j_lab)):
+                ambient.check(cand)
+                if _shape(cand, i_lab, j_lab) in shapes:
+                    yield cand, Fraction(sign, 2)
 
     return TautClass(ambient, kept())
 

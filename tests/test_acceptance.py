@@ -19,7 +19,6 @@ from stratacalc import (
     component_count,
     disjoint_union,
     faber_constant,
-    fundamental_class,
     invariance_operator,
     monomial_class,
     single_vertex,
@@ -212,7 +211,7 @@ def test_criterion_7_canonicalization_fuzz():
 
 def test_criterion_8_worked_operator_value():
     """Operator on the genus-2 fundamental class equals the two-term value."""
-    out = invariance_operator(fundamental_class(2, 0))
+    out = invariance_operator(monomial_class(2, 0))
     amb = AmbientSignature(1, frozenset({1, 2}), 2)
     joined = single_vertex(1, [(1, 0), (2, 0)])
     split_pair = disjoint_union(single_vertex(1, [(1, 0)]),

@@ -1,5 +1,7 @@
 """Formal class arithmetic, degree bookkeeping, psi multiplication, JSON."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,13 +19,11 @@ from stratacalc import (
     SignatureError,
     TautClass,
     forget_pushforward,
-    fundamental_class,
     generator_monomials,
     invariance_operator,
     monomial_class,
     pullback_lift,
     single_vertex,
-    zero_class,
 )
 from stratacalc.classes import _summed
 from stratacalc.serialize import (
@@ -77,11 +77,15 @@ def test_monomial_class_unstable():
 
 
 def test_signature_mismatch_rejected():
+    """A term off its ambient is refused whatever its coefficient, 0 included."""
     amb = AmbientSignature(2, frozenset())
-    with pytest.raises(SignatureError):
-        TautClass(amb, [(single_vertex(3), 1)])
-    with pytest.raises(SignatureError):
-        TautClass(amb, [(single_vertex(2, [(1, 0)]), 1)])
+    for coeff in (1, 0):
+        with pytest.raises(SignatureError, match="ambient requires 2"):
+            TautClass(amb, [(single_vertex(3), coeff)])
+        with pytest.raises(SignatureError, match="differ from ambient"):
+            TautClass(amb, [(single_vertex(2, [(1, 0)]), coeff)])
+        with pytest.raises(SignatureError, match=r"beyond 1\.\.1"):
+            InteriorClass(2, 1, [(InteriorMonomial((), {5: 1}), coeff)])
 
 
 def test_first_faulty_term_raises_first():
@@ -109,8 +113,8 @@ def test_first_faulty_term_raises_first():
     lambda: InteriorClass(2.5, 1),
     lambda: InteriorClass(2, 1.0),
     lambda: TautClass(AmbientSignature(2, ()), [(single_vertex(2), 0.1)]),
-    lambda: fundamental_class(2, 0).scale(0.1),
-    lambda: 0.1 * fundamental_class(2, 0),
+    lambda: monomial_class(2, 0).scale(0.1),
+    lambda: 0.1 * monomial_class(2, 0),
     lambda: InteriorClass(2, 1, [(InteriorMonomial((1,)), 0.1)]),
 ], ids=["graph-genus-marking", "graph-edge-psi", "graph-kappa", "single-vertex-genus",
         "monomial-kappa-psi", "monomial-marking", "ambient-marking", "ambient-genus",
@@ -140,6 +144,30 @@ def test_constructors_refuse_out_of_range_values(build):
     with pytest.raises(ValueError):
         build()
     AmbientSignature(-1, {1, 2})
+
+
+def test_ambient_is_the_named_tuple_of_its_fields():
+    """An ambient is the tuple ``(genus, markings, max_components)`` of its
+    fields: it prints, compares, hashes, copies and pickles as one, and its
+    constructor converts and refuses as before."""
+    amb = AmbientSignature(3, [2, 1], 2)
+    assert repr(amb) == \
+        "AmbientSignature(genus=3, markings=frozenset({1, 2}), max_components=2)"
+    fields = (3, frozenset({1, 2}), 2)
+    assert tuple(amb) == (amb.genus, amb.markings, amb.max_components) == fields
+    assert amb == fields and hash(amb) == hash(fields)
+    assert amb == AmbientSignature(genus=3, markings={1, 2}, max_components=2)
+    assert amb.marking_tuple() == (1, 2) and AmbientSignature(3, ()).max_components == 1
+    for copied in [copy.copy(amb), copy.deepcopy(amb)] + [
+            pickle.loads(pickle.dumps(amb, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert copied == amb and type(copied) is AmbientSignature
+    with pytest.raises(ValueError, match=r"^max_components must be 1 or 2$"):
+        AmbientSignature(2, {1}, 3)
+    with pytest.raises(ValueError, match=r"^markings must be >= 1, got \[-5, 0\]$"):
+        AmbientSignature(2, {0, -5, 3})
+    with pytest.raises(TypeError):
+        AmbientSignature(2.0, {1})
 
 
 def test_integer_numerators_are_exact():
@@ -214,7 +242,7 @@ def test_term_algebra_matches_public_rebuild():
     amb = images[0].ambient
 
     def draw():
-        x = zero_class(amb)
+        x = TautClass(amb)
         for image in rng.sample(images, rng.randint(1, len(images))):
             x = x + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * image
         return x
@@ -227,8 +255,8 @@ def test_term_algebra_matches_public_rebuild():
         _assert_same_class(-x, _rebuilt(amb, (-1, x)))
         _assert_same_class(3 * x, _rebuilt(amb, (3, x)))
         _assert_same_class(c * x, _rebuilt(amb, (c, x)))
-        _assert_same_class(0 * x, zero_class(amb))
-        _assert_same_class(x - x, zero_class(amb))
+        _assert_same_class(0 * x, TautClass(amb))
+        _assert_same_class(x - x, TautClass(amb))
         _assert_same_class((x + y) - y, x)
     other = invariance_operator(monomial_class(6, 1, kappa=(1,)))
     for op in (lambda a, b: a + b, lambda a, b: a - b):
@@ -273,7 +301,7 @@ def test_taut_classes_are_stored_in_lowest_terms():
 
     for _ in range(12):
         x, y = draw(), draw()
-        results = [x, y, x + y, x - y, -x, x - x, zero_class(amb),
+        results = [x, y, x + y, x - y, -x, x - x, TautClass(amb),
                    invariance_operator(x), invariance_operator(x - x)]
         results += [c * r for c in _scalars(rng) for r in (x, x + y)]
         for r in results:
@@ -287,7 +315,7 @@ def test_taut_classes_are_stored_in_lowest_terms():
         image = invariance_operator(x)
         rebuilt = TautClass(image.ambient, [(graph, c) for _, graph, c in image.items()])
         _assert_same_pair(rebuilt, image)
-        _assert_same_pair(x - x, zero_class(amb))
+        _assert_same_pair(x - x, TautClass(amb))
 
 
 def test_interior_classes_are_stored_in_lowest_terms():
@@ -333,7 +361,7 @@ def test_degree_examples():
     assert TautClass(amb, [(one_edge, 1)]).degree() == 2
     mixed = monomial_class(6, 1, kappa=(1,)) + monomial_class(6, 1, psi={1: 2})
     assert mixed.degree() == INHOMOGENEOUS
-    assert zero_class(amb).degree() == ZERO_DEGREE
+    assert TautClass(amb).degree() == ZERO_DEGREE
 
 
 # --------------------------------------------------------------------- JSON
@@ -355,7 +383,7 @@ def test_class_json_roundtrip():
 
 def test_class_json_roundtrip_zero():
     amb = AmbientSignature(2, frozenset({1, 2}), 2)
-    assert class_from_obj(class_to_obj(zero_class(amb))) == zero_class(amb)
+    assert class_from_obj(class_to_obj(TautClass(amb))) == TautClass(amb)
 
 
 def test_graph_json_accepts_ij_tokens():

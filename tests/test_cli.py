@@ -95,8 +95,15 @@ def test_r1_zero_class(tmp_path):
     assert load_file(out)["terms"] == []
 
 
-def test_r1_mismatched_ambient_exits_2():
-    assert run("r1", "--in", FIXTURES / "mismatched_ambient.json") == 2
+def test_r1_mismatched_ambient_exits_2(tmp_path, capsys):
+    """A term off the ambient exits 2, also with coefficient 0."""
+    zero = load_file(FIXTURES / "mismatched_ambient.json")
+    zero["terms"][0]["coeff"] = "0"
+    (tmp_path / "zero.json").write_text(json.dumps(zero))
+    for path in (FIXTURES / "mismatched_ambient.json", tmp_path / "zero.json"):
+        assert run("r1", "--in", path) == 2
+        assert capsys.readouterr() == (
+            "", "invalid input: graph has arithmetic genus 2, ambient requires 3\n")
 
 
 # the Petersen graph: ten genus-0 trivalent vertices, fifteen edges, genus 6

@@ -22,20 +22,20 @@ from stratacalc import (
     cut_edges,
     disjoint_union,
     enumerate_stable_graphs,
-    fundamental_class,
     invariance_operator,
-    invariance_parts,
     monomial_class,
     reduce_genus,
     single_vertex,
     split_vertices,
 )
 from stratacalc.invariance import (
+    _PARTS,
+    _candidates_of_valid,
+    _collect,
     _cut_candidates,
     _output_signature,
     _reduce_candidates,
     _split_candidates,
-    operator_candidates,
 )
 from stratacalc.verifier import _BARE, _shape, boundary_generators
 
@@ -51,6 +51,11 @@ from oracles import (
 
 def cls(ambient, *terms):
     return TautClass(ambient, terms)
+
+
+def parts(x, level=1):
+    """The cut, reduce and split parts of the operator image of ``x``."""
+    return {name: _collect(x, (stream,), level) for name, stream in _PARTS.items()}
 
 
 # -------------------------------------------------------------------- cutting
@@ -156,7 +161,7 @@ def test_operator_term_census_kappa1_genus6():
 
 
 def test_operator_worked_value_genus2():
-    out = invariance_operator(fundamental_class(2, 0))
+    out = invariance_operator(monomial_class(2, 0))
     amb = AmbientSignature(1, frozenset({1, 2}), 2)
     joined = single_vertex(1, [(1, 0), (2, 0)])
     pair = disjoint_union(single_vertex(1, [(1, 0)]), single_vertex(1, [(2, 0)]))
@@ -165,7 +170,7 @@ def test_operator_worked_value_genus2():
 
 
 def test_operator_zero_in_zero_out():
-    z = fundamental_class(2, 0).scale(0)
+    z = monomial_class(2, 0).scale(0)
     assert invariance_operator(z).is_zero
 
 
@@ -205,14 +210,14 @@ def test_operator_equals_sum_of_parts_multi_term():
     x = TautClass(amb, terms)
     assert len(x) == len(terms)
     for level in (1, 2):
-        parts = invariance_parts(x, level)
+        by_name = parts(x, level)
         for name, op in (("cut", cut_edges), ("reduce", reduce_genus),
                          ("split", split_vertices)):
-            termwise = TautClass(parts[name].ambient)
+            termwise = TautClass(by_name[name].ambient)
             for _, graph, coeff in x.items():
-                termwise = termwise + coeff * op(graph, level, (2, 3))
-            assert parts[name] == termwise, name
-        total = parts["cut"] + parts["reduce"] + parts["split"]
+                termwise = termwise + coeff * op(graph, level)
+            assert by_name[name] == termwise, name
+        total = by_name["cut"] + by_name["reduce"] + by_name["split"]
         assert not total.is_zero
         assert total == invariance_operator(x, level, experimental=True)
 
@@ -271,7 +276,7 @@ def test_integer_sums_match_fraction_reference(level):
         got = invariance_operator(x, level, experimental=True)
         assert list(got.items()) == list(want.items())
         assert all(type(c) is Fraction for _, _, c in got.items())
-        for name, part in invariance_parts(x, level).items():
+        for name, part in parts(x, level).items():
             assert list(part.items()) == list(operator_reference(x, (name,), level).items())
         if form is not None:
             assert form not in {f for f, _, _ in got.items()} and not got.is_zero
@@ -282,7 +287,7 @@ def test_integer_sums_match_fraction_reference(level):
 
 
 def test_experimental_gate():
-    x = fundamental_class(3, 0)
+    x = monomial_class(3, 0)
     with pytest.raises(ValueError, match="experimental"):
         invariance_operator(x, level=2)
     out = invariance_operator(x, level=2, experimental=True)
@@ -348,7 +353,7 @@ def test_separation_property():
     for _ in range(25):
         g = random_decorated_graph(rng, genus_range=(1, 6))
         x = _class_of(g)
-        parts = invariance_parts(x)
+        by_name = parts(x)
         i_lab = max(x.ambient.markings, default=0) + 1
         j_lab = i_lab + 1
 
@@ -359,9 +364,9 @@ def test_separation_property():
             return psi.get(i_lab, 0) == 0 and psi.get(j_lab, 0) == 0
 
         for name in ("cut", "reduce"):
-            for _, term, _ in parts[name].items():
+            for _, term, _ in by_name[name].items():
                 assert not plain_disconnected(term), name
-        total = parts["cut"] + parts["reduce"] + parts["split"]
+        total = by_name["cut"] + by_name["reduce"] + by_name["split"]
         assert total == invariance_operator(x)
 
 
@@ -417,7 +422,8 @@ def test_candidate_streams_match_validated_reference():
                (_split_candidates, split_candidates_reference))
     total = checked = 0
     for graph, level, labels in _stream_inputs():
-        _, out = _output_signature(arithmetic_genus(graph), graph.markings(), labels)
+        out = AmbientSignature(arithmetic_genus(graph) - 1,
+                               frozenset(graph.markings()) | set(labels), 2)
         for fast, reference in streams:
             got = list(fast(graph, level, labels))
             assert ([(cand, Fraction(sign, 2)) for cand, sign in got]
@@ -497,12 +503,12 @@ def _signature_inputs():
 
 
 def test_move_level_signature_check_matches_candidate_checks():
-    """``operator_candidates(..., ambient=...)`` raises exactly when some
+    """``_candidates_of_valid(..., ambient)`` raises exactly when some
     candidate of the full stream fails ``AmbientSignature.check``, with the
     message of the first failing one, whether or not a move is built."""
     raised = Counter()
     for graph, level, labels in _signature_inputs():
-        full = list(operator_candidates(graph, level, labels))
+        full = list(_candidates_of_valid(graph, level, labels))
         pa = arithmetic_genus(graph)
         markings = frozenset(graph.markings()) | set(labels)
         ambients = [AmbientSignature(pa - 1, markings, 1),
@@ -513,8 +519,7 @@ def test_move_level_signature_check_matches_candidate_checks():
             want = _first_signature_error(full, ambient)
             for shapes in (frozenset(), None):
                 try:
-                    list(operator_candidates(graph, level, labels, shapes=shapes,
-                                             ambient=ambient))
+                    list(_candidates_of_valid(graph, level, labels, shapes, ambient))
                     got = None
                 except SignatureError as exc:
                     got = str(exc)
@@ -535,17 +540,19 @@ def test_move_level_signature_check_matches_candidate_checks():
 ])
 def test_user_supplied_invalid_graphs_are_rejected(graph):
     """The public operator parts, canonical-form functions and class
-    constructor validate the graph they are given; only the package's own
-    graphs, valid by construction, go to the canonical-form search unchecked."""
+    constructor validate the graph they are given, whatever its coefficient;
+    only the package's own graphs, valid by construction, go to the
+    canonical-form search unchecked."""
     diags = graph.validate()
     assert diags
     ambient = AmbientSignature(2, frozenset(graph.markings()))
-    for call in (lambda: list(operator_candidates(graph)), lambda: cut_edges(graph),
+    for call in (lambda: cut_edges(graph),
                  lambda: reduce_genus(graph), lambda: split_vertices(graph),
                  lambda: canonicalize(graph), lambda: canonical_form(graph),
                  lambda: automorphism_count(graph),
                  lambda: TautClass(ambient, [(graph, 1)]),
-                 lambda: fundamental_class(2, 2).coefficient_of(graph)):
+                 lambda: TautClass(ambient, [(graph, 0)]),
+                 lambda: monomial_class(2, 2).coefficient_of(graph)):
         with pytest.raises(InvalidGraphError) as exc:
             call()
         assert exc.value.diagnostics == diags

@@ -1,0 +1,76 @@
+"""The public surface: README's contract, and the names the benchmark binds."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import stratacalc
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def _parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_readme_cites_existing_tests():
+    """Every ``tests/<file>.py::<test>`` that README names is a test function
+    defined at the top level of that file."""
+    cited = re.findall(r"tests/(\w+\.py)::(\w+)", README)
+    assert len(cited) >= 30
+    for filename, name in cited:
+        path = ROOT / "tests" / filename
+        assert path.is_file(), filename
+        defined = {node.name for node in _parsed(path).body
+                   if isinstance(node, ast.FunctionDef)}
+        assert name.startswith("test_") and name in defined, f"{filename}::{name}"
+
+
+def test_readme_names_the_public_api():
+    """README's list of public names is ``stratacalc.__all__``, in order, and
+    each name resolves."""
+    section = README.split("## Public names", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", section)
+    assert listed == stratacalc.__all__
+    for name in stratacalc.__all__:
+        assert hasattr(stratacalc, name), name
+
+
+def _resolves(module: str, name: str) -> bool:
+    return (hasattr(importlib.import_module(module), name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_benchmark_bindings_resolve():
+    """What ``perfbench`` binds exists: every name its worker imports from
+    the package or the oracles (read, not imported), and every traced span's
+    function, or method defined on its own class."""
+    checked = set()
+    for node in ast.walk(_parsed(ROOT / "perfbench" / "worker.py")):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] in ("stratacalc", "oracles")):
+            for alias in node.names:
+                assert _resolves(node.module, alias.name), f"{node.module}.{alias.name}"
+                checked.add(f"{node.module}.{alias.name}")
+    assert {"stratacalc.taut_to_interior", "stratacalc.cli",
+            "oracles.degeneration_strata"} <= checked
+
+    spans = next(ast.literal_eval(node.value)
+                 for node in _parsed(ROOT / "perfbench" / "tracer.py").body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    assert spans
+    for module, path in spans.values():
+        home = importlib.import_module(module)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            assert attr in vars(getattr(home, cls_name)), f"{module}.{path}"
+        else:
+            assert callable(getattr(home, path)), f"{module}.{path}"
+    # the tracer calls the class constructor it wraps as init(obj, ambient, terms)
+    init = stratacalc.TautClass.__dict__["__init__"]
+    assert list(inspect.signature(init).parameters) == ["self", "ambient", "terms"]

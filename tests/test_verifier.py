@@ -25,7 +25,7 @@ from stratacalc import (
     witness_graph_for,
 )
 from stratacalc import verifier
-from stratacalc.invariance import operator_candidates
+from stratacalc.invariance import _candidates_of_valid
 
 from oracles import (
     full_image_extraction,
@@ -421,8 +421,8 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
     terms = 0
     for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}):
         for G in boundary_generators(g, n, k):
-            got = TautClass(out, operator_candidates(G, labels=(i_lab, j_lab),
-                                                     shapes=shapes, ambient=out))
+            image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out)
+            got = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in image))
             assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
             terms += len(got)
     assert terms > 0
