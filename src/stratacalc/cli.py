@@ -8,6 +8,7 @@ All numeric output is exact fraction strings; nothing here is randomized.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import argparse
@@ -127,10 +128,22 @@ def _load_witness_table(path):
     return table
 
 
+def _check_writable(path) -> None:
+    """Raise now the ``OSError`` that writing ``path`` later would: open it to
+    append, which keeps an existing file's bytes, and remove it again if the
+    open made it."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_verify(args) -> int:
     overrides = None
     if args.witness_table:
         overrides = _load_witness_table(args.witness_table)
+    if args.report:
+        _check_writable(args.report)
     report = verify_witness_independence(args.g, args.n, args.k,
                                          recursive=args.recursive,
                                          witness_overrides=overrides)

@@ -136,6 +136,55 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
                         yield DecoratedGraph._of(parts, legs, edges, split_kappa), sign
 
 
+def _target_key(graph: DecoratedGraph, labels):
+    """What a level-1 reduce or split of an edge-free one-vertex graph fixes
+    of its candidate ``graph``: ``(genus, kappa, legs)`` of the vertex with
+    leg i, then of the vertex with leg j if that is the other one, with legs
+    as ``(marking, psi)``.  Two keyed graphs are isomorphic exactly when their
+    keys are equal.  ``None`` when no such move lands on ``graph``: it has an
+    edge, a third vertex, no leg i or j or psi on one, or i and j on one of
+    two vertices."""
+    at = {m: (v, p) for v, m, p in graph.legs}
+    # a missing leg i or j reads as one with psi
+    (vi, pi), (vj, pj) = (at.get(label, (None, 1)) for label in labels)
+    order = (vi,) if vi == vj else (vi, vj)
+    if graph.edges or pi or pj or len(order) != graph.n_vertices:
+        return None
+    return tuple((graph.genera[v], graph.kappa[v],
+                  tuple([(m, p) for w, m, p in graph.legs if w == v])) for v in order)
+
+
+def _targeted_candidates(graph: DecoratedGraph, level: int, labels, targets):
+    """The candidates of ``graph`` whose ``_target_key`` is in ``targets``,
+    each move's parameters read off a key.  Only the level-1 reduce and split
+    moves of an edge-free one-vertex graph of genus >= 1 land on a key (a cut
+    puts psi^level on leg i or j), each with sign -1.  A one-vertex key is
+    the reduce move.  In a two-vertex key, g1 and the legs of the i part fix
+    the genus split and the leg mask, and each kappa mask whose i part sorts
+    to the key's kappa is one split move."""
+    if graph.edges or graph.n_vertices > 1 or level != 1 or graph.genera[0] < 1:
+        return
+    (h,), (kappa,) = graph.genera, graph.kappa
+    # the legs of the candidates: the graph's, then the new legs i and j with psi^0
+    marks = tuple([(m, p) for _, m, p in graph.legs]) + ((labels[0], 0), (labels[1], 0))
+    if ((h - 1, kappa, marks),) in targets:
+        yield DecoratedGraph._of((h - 1,), tuple([(0, m, p) for m, p in marks]), (),
+                                 graph.kappa), -1
+    for key in sorted(targets):
+        if len(key) != 2:
+            continue
+        (g1, kappa1, legs1), (g2, kappa2, legs2) = key
+        if g1 + g2 != h or tuple(sorted(legs1 + legs2)) != marks \
+                or tuple(sorted(kappa1 + kappa2)) != kappa:
+            continue
+        legs = sorted([(0, m, p) for m, p in legs1] + [(1, m, p) for m, p in legs2],
+                      key=_BY_MARKING)
+        cand = DecoratedGraph._of((g1, g2), tuple(legs), (), (kappa1, kappa2))
+        for mask in range(1 << len(kappa)):
+            if tuple([k for bit, k in enumerate(kappa) if not mask >> bit & 1]) == kappa1:
+                yield cand, -1
+
+
 #: Candidate stream of each operation, in the order the operator sums them.
 _PARTS = {"cut": _cut_candidates, "reduce": _reduce_candidates,
           "split": _split_candidates}
@@ -177,13 +226,16 @@ def split_vertices(graph, level: int = 1) -> TautClass:
     return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), 2))
 
 
-def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
+def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None,
+                         targets=None):
     """The candidates of cut, reduce and split, in that order, of a graph
     already known to be valid, such as a boundary generator.
 
     With ``shapes``, only the moves whose candidates have a shape (edge count,
     psi on leg i, psi on leg j) in ``shapes`` are built, the shape read off the
-    move.  With ``ambient``, every candidate, built or not, is checked against
+    move.  With ``targets``, a set of ``_target_key``s of valid graphs, only
+    the moves whose candidate's key is in it are built, and ``shapes`` is not
+    read.  With ``ambient``, every candidate, built or not, is checked against
     it before the first is yielded; otherwise checks are left to the consumer.
     """
     if ambient is not None:
@@ -195,6 +247,9 @@ def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None):
             full = itertools.islice(full, 1)
         for cand in full:
             ambient.check(cand)
+    if targets is not None:
+        yield from _targeted_candidates(graph, level, labels, targets)
+        return
     for stream in _PARTS.values():
         yield from stream(graph, level, labels, shapes)
 

@@ -5,9 +5,11 @@ For each degree-k generator monomial the verifier either
 * builds its witness graph (the 2-component, edge-free term that the
   genus-lowering operator produces from that monomial and from no other
   generator), reads the witness coefficient off the operator image of every
-  generator and every degree-k decorated boundary graph, each image built once
-  and the same way, from the terms of witness or bare shape only, and checks
-  the self-coefficient is nonzero while all others vanish ("witness-split"); or
+  generator and every degree-k decorated boundary graph, each image built once:
+  a generator's from only the moves that land on a witness, matched by the key
+  a move fixes (``invariance._target_key``), a boundary graph's from the terms
+  of witness or bare shape only; and checks the self-coefficient is nonzero
+  while all others vanish ("witness-split"); or
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
@@ -36,7 +38,7 @@ from .graphs import (
     enumerate_stable_graphs,
     single_vertex,
 )
-from .invariance import _candidates_of_valid, _output_signature
+from .invariance import _candidates_of_valid, _output_signature, _target_key
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
@@ -475,17 +477,26 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     # the rows are the generator graphs, then the boundary graphs; each row's
     # image is read once: its terms at a witness form fill that witness's row,
     # and bare terms of a boundary image are structural violations (boundary
-    # images keep an edge or a psi on the new legs)
+    # images keep an edge or a psi on the new legs).  A generator image holds
+    # only the witnesses that one of its moves reaches, found by key.
     rows = {w[1]: {} for w in witness_of.values() if w is not None}
+    targets = {_target_key(w[2], (i_lab, j_lab)) for w in witness_of.values() if w is not None}
+    targets.discard(None)   # no move of a generator reaches these
     structural_violations = []
     gen_graphs = [G for mono in gens
                   for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
     for r, G in enumerate(gen_graphs + bgraphs):
-        image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb)
+        boundary = r >= len(gens)
+        image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb,
+                                     None if boundary else targets)
+        first = next(image, None)   # the ambient check; most boundary images are empty
+        if first is None:
+            continue
+        image = itertools.chain((first,), image)
         for form, graph, coeff in TautClass._of(*_merged(out_amb, image, 2)).items():
             if form in rows:
                 rows[form][r] = coeff
-            if r >= len(gens) and _shape(graph, i_lab, j_lab) == _BARE:
+            if boundary and _shape(graph, i_lab, j_lab) == _BARE:
                 structural_violations.append(
                     f"image term of boundary graph {_canonical_search(G)[0].hex()[:16]} "
                     f"has no edge and psi^0 on both new legs")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stratacalc import DecoratedGraph, single_vertex, verifier
+from stratacalc import DecoratedGraph, cli, single_vertex, verifier
 from stratacalc.cli import main
 from stratacalc.serialize import (
     class_from_obj,
@@ -409,6 +409,27 @@ def test_verify_guard_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.endswith(
         "size guard exceeded: enumeration of (g=6, n=0, max_edges=1) "
         "exceeded STRATA_MAX_GRAPHS=1\n")
+
+
+def test_verify_refuses_an_unwritable_report_before_verifying(monkeypatch, capsys, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("verification ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "verify_witness_independence", never)
+    path = tmp_path / "missing" / "r.json"
+    assert run("verify", "--g", 9, "--n", 3, "--k", 3, "--report", path) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_verify_guard_exit_leaves_the_report_path_as_it_was(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for path in (kept, fresh):
+        assert run("verify", "--g", 31, "--n", 0, "--k", 1, "--report", path) == 3
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
 
 
 def test_verify_recursive_flag(tmp_path):

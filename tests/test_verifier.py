@@ -1,5 +1,6 @@
 """Generator/boundary enumeration, witnesses, coefficient systems, reports."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -177,6 +178,8 @@ PSI_WITNESS = disjoint_union(single_vertex(5, [(1, 1)]),
                              single_vertex(1, [(2, 0)]))
 # One edge: a term of the split image of the (5,1) bridge.
 EDGE_WITNESS = DecoratedGraph((4, 1, 1), ((0, 1, 0), (2, 2, 0)), ((0, 0, 1, 0),))
+# One vertex: the reduce image of kappa_1.
+REDUCE_WITNESS = single_vertex(5, [(1, 0), (2, 0)], (1,))
 
 def test_verify_basic_instance():
     rep = verify_witness_independence(6, 0, 1)
@@ -400,7 +403,7 @@ def test_targeted_extraction_matches_full_image(g, n, k):
 
 
 @pytest.mark.parametrize("witness", [ALT_WITNESS, BOGUS_WITNESS, PSI_WITNESS,
-                                     EDGE_WITNESS])
+                                     EDGE_WITNESS, REDUCE_WITNESS])
 def test_targeted_extraction_matches_full_image_with_overrides(witness):
     overrides = {mono((1,)): witness}
     rep = verify_witness_independence(6, 0, 1, witness_overrides=overrides)
@@ -492,6 +495,14 @@ def test_candidate_off_the_ambient_raises_even_when_filtered_out(monkeypatch):
         verify_witness_independence(6, 0, 1)
 
 
+def test_candidate_off_the_ambient_raises_in_a_targeted_generator_stream(monkeypatch):
+    # a generator row builds only the moves that land on a witness, yet the
+    # class built from its stream still checks each distinct form it is given
+    stray = single_vertex(6, [(1, 1), (2, 0)])
+    _inject(monkeypatch, single_vertex(6, kappa=(1,)), [(stray, 1)])
+    with pytest.raises(SignatureError, match="arithmetic genus 6"):
+        verify_witness_independence(6, 0, 1)
+
 
 def test_witness_self_coefficients_match_the_split_rule():
     """A witness is two single vertices, leg i on the first, reached from the
@@ -515,3 +526,67 @@ def test_witness_self_coefficients_match_the_split_rule():
             seen[want] += 1
     # kappa_1^2 at (6, 0, 2) and kappa_1^3 at (9, 1, 3) split their factors
     assert sum(seen.values()) == 35 and seen[-1] and seen[Fraction(-3, 2)], seen
+
+
+# every in-range instance with g <= 12, n <= 8 and k <= 3
+IN_RANGE = [(g, n, k) for g in range(3, 13) for n in range(9)
+            for k in range(1, min(3, g // 3) + 1)]
+
+
+def _generator_rows(monkeypatch, g, n, k):
+    """The witness-split entries of (g, n, k) with the boundary rows left out:
+    a witness's self and generator coefficients are read off the generator
+    rows alone, so the sweeps below reach (12, 8, 3) without enumerating its
+    boundary graphs."""
+    monkeypatch.setattr(verifier, "boundary_generators", lambda *instance: [])
+    return [e for e in verify_witness_independence(g, n, k).entries
+            if e.branch == "witness-split"]
+
+
+def test_split_rule_over_a_seeded_sweep(monkeypatch):
+    """The closed form of ``test_witness_self_coefficients_match_the_split_rule``
+    on every witness entry of a seeded sample of the in-range instances."""
+    sample = random.Random(2006).sample(IN_RANGE, 24) + [(12, 8, 3)]
+    seen = Counter()
+    for g, n, k in sample:
+        monos = {str(m): m for m in generator_monomials(g, n, k)}
+        for entry in _generator_rows(monkeypatch, g, n, k):
+            mono = monos[entry.monomial]
+            (_, _, kappa_i), _ = verifier._witness_parts(mono, g, n)
+            want = Fraction(-1, 2) * prod(comb(mono.kappa.count(a), kappa_i.count(a))
+                                          for a in set(mono.kappa))
+            assert Fraction(entry.self_coefficient) == want, (g, n, k, entry.monomial)
+            assert entry.passed, (g, n, k, entry.monomial)
+            seen[want] += 1
+    assert seen[Fraction(-1, 2)] and seen[Fraction(-3, 2)], seen
+
+
+def _split_moves(g, n, k):
+    """The (g1, leg mask, kappa mask) triples of the split moves of every
+    generator of (g, n, k), unstable parts included."""
+    return sum((g + 1) << (n + len(m.kappa)) for m in generator_monomials(g, n, k))
+
+
+def test_targeted_generator_rows_match_the_full_stream(monkeypatch):
+    """On every generator and witness pair of a seeded sample of the in-range
+    instances, the coefficient the targeted row reads equals the one read off
+    the generator's full stream, every candidate built and checked.  An
+    instance whose full streams exceed 10,000 split moves is left to the
+    closed-form sweep, as the reference canonicalizes every candidate."""
+    cheap = [inst for inst in IN_RANGE if _split_moves(*inst) <= 10_000]
+    pairs = 0
+    for g, n, k in random.Random(2006).sample(cheap, 10):
+        i_lab, j_lab = n + 1, n + 2
+        out = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
+        monos = {str(m): m for m in generator_monomials(g, n, k)}
+        full = {s: targeted_image_reference(
+                    single_vertex(g, [(l, m.psi_dict().get(l, 0)) for l in range(1, n + 1)],
+                                  m.kappa), out, {verifier._BARE}, i_lab, j_lab)
+                for s, m in monos.items()}
+        for entry in _generator_rows(monkeypatch, g, n, k):
+            witness = witness_graph_for(monos[entry.monomial], g, n)
+            got = dict(entry.generator_coefficients, **{entry.monomial: entry.self_coefficient})
+            assert got == {m: str(image.coefficient_of(witness))
+                           for m, image in full.items()}, (g, n, k, entry.monomial)
+            pairs += len(got)
+    assert pairs > 100, pairs
