@@ -31,8 +31,6 @@ evaluation order because terms merge by canonical form.
 
 from __future__ import annotations
 
-import itertools
-
 from .classes import AmbientSignature, TautClass, _merged
 from .errors import SignatureError
 from .graphs import (
@@ -226,6 +224,20 @@ def split_vertices(graph, level: int = 1) -> TautClass:
     return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), 2))
 
 
+def _reach(graph: DecoratedGraph, level: int) -> set:
+    """The shapes (edge count, psi on leg i, psi on leg j) that a move of
+    ``graph`` can give, a superset of those its streams yield: reduce and split
+    keep every edge, and a cut of edge ``(v1, p1, v2, p2)`` keeps the psi of
+    its ends on legs i and j, either way round, with ``level`` added to one."""
+    e = graph.n_edges
+    shapes = {(e, level - 1 - m, m) for m in range(level)}
+    for _, p1, _, p2 in graph.edges:
+        for pi, pj in ((p1, p2), (p2, p1)):
+            shapes.add((e - 1, pi + level, pj))
+            shapes.add((e - 1, pi, pj + level))
+    return shapes
+
+
 def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None,
                          targets=None):
     """The candidates of cut, reduce and split, in that order, of a graph
@@ -233,22 +245,30 @@ def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None,
 
     With ``shapes``, only the moves whose candidates have a shape (edge count,
     psi on leg i, psi on leg j) in ``shapes`` are built, the shape read off the
-    move.  With ``targets``, a set of ``_target_key``s of valid graphs, only
-    the moves whose candidate's key is in it are built, and ``shapes`` is not
-    read.  With ``ambient``, every candidate, built or not, is checked against
-    it before the first is yielded; otherwise checks are left to the consumer.
+    move, and a graph none of whose moves reaches ``shapes`` (``_reach``)
+    builds nothing.  With ``targets``, a set of ``_target_key``s of valid
+    graphs, only the moves whose candidate's key is in it are built, and
+    ``shapes`` is not read.  With ``ambient``, every candidate, built or not,
+    is checked against it before the first is yielded; below its component
+    bound one check of the graph's own signature stands for all of them.
+    Otherwise checks are left to the consumer.
     """
     if ambient is not None:
-        # all candidates share genus and markings and have at most one more
-        # component than graph: below the bound the first stands for all
-        full = (cand for stream in _PARTS.values()
-                for cand, _ in stream(graph, level, labels))
         if component_count(graph) < ambient.max_components:
-            full = itertools.islice(full, 1)
-        for cand in full:
-            ambient.check(cand)
+            # below the bound the graph fixes every candidate's signature:
+            # genus one less (a graph below genus 1 has none), the markings
+            # plus labels, and at most one more component
+            pa = arithmetic_genus(graph)
+            if pa >= 1:
+                ambient._check_genus_and_markings(pa - 1, (*graph.markings(), *labels))
+        else:
+            for stream in _PARTS.values():
+                for cand, _ in stream(graph, level, labels):
+                    ambient.check(cand)
     if targets is not None:
         yield from _targeted_candidates(graph, level, labels, targets)
+        return
+    if shapes is not None and _reach(graph, level).isdisjoint(shapes):
         return
     for stream in _PARTS.values():
         yield from stream(graph, level, labels, shapes)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .classes import AmbientSignature, TautClass, _merged, _numerators
 from .errors import InvalidGraphError
@@ -208,17 +208,15 @@ def interior_from_obj(obj) -> InteriorClass:
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte and
     with the same ``TypeError``s, but from str joins: json encodes in pure
-    Python whenever it indents.  Scalars go to json itself."""
+    Python whenever it indents.  In a list or dict an int is written by
+    ``str`` and a str (a key too) by ``encode_basestring_ascii``, which
+    ``json.dumps`` calls for it; any other scalar goes to json itself."""
     return _indented(obj, "\n") + "\n"
-
-
-#: Quoted dict keys; a document repeats a few keys many times.
-_quoted_key = lru_cache(maxsize=256)(json.dumps)
 
 
 def _key(k) -> str:
     if isinstance(k, str):
-        return _quoted_key(k)
+        return _quoted(k)
     if k is None or isinstance(k, (int, float)):
         return f'"{json.dumps(k)}"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
@@ -230,15 +228,17 @@ def _indented(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        body = f",{inner}".join([str(x) if type(x) is int else _indented(x, inner)
-                                 for x in obj])
+        body = f",{inner}".join([
+            str(x) if type(x) is int else _quoted(x) if type(x) is str else _indented(x, inner)
+            for x in obj])
         return f"[{inner}{body}{nl}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + "  "
         body = f",{inner}".join([
-            f"{_key(k)}: {v}" if type(v) is int else f"{_key(k)}: {_indented(v, inner)}"
+            f"{_key(k)}: "
+            f"{v if type(v) is int else _quoted(v) if type(v) is str else _indented(v, inner)}"
             for k, v in sorted(obj.items())])
         return f"{{{inner}{body}{nl}}}"
     return json.dumps(obj)

@@ -8,10 +8,16 @@ For each degree-k generator monomial the verifier either
   generator and every degree-k decorated boundary graph, each image built once:
   a generator's from only the moves that land on a witness, matched by the key
   a move fixes (``invariance._target_key``), a boundary graph's from the terms
-  of witness or bare shape only; and checks the self-coefficient is nonzero
-  while all others vanish ("witness-split"); or
+  of witness or bare shape only, and nothing at all when none of its moves
+  reaches such a shape (none does for edge-free witnesses with psi^0 on the
+  new legs); and checks the self-coefficient is nonzero while all others
+  vanish ("witness-split"); or
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
+
+Each row's graph is checked against the output ambient once, whether or not
+a move is built: a connected graph fixes the genus, markings and component
+bound of every candidate.
 
 Induction-hypothesis inputs are recorded as named assumptions, not
 re-verified, unless ``recursive=True`` re-checks the named sub-instances; a

@@ -456,15 +456,18 @@ def test_candidates_are_built_in_normal_form():
 
 def test_shape_filtered_streams_match_filtered_full_streams():
     """Deciding a move by its shape before building it keeps exactly the
-    candidates of the full stream whose shape is wanted, in stream order."""
+    candidates of the full stream whose shape is wanted, in stream order, and
+    so does skipping a graph none of whose moves can reach the shapes."""
     streams = (_cut_candidates, _reduce_candidates, _split_candidates)
     kept = Counter()
     for graph, level, labels in _stream_inputs():
+        e = graph.n_edges
+        every = []   # (candidate, shape) of the three streams, in order
         for stream in streams:
             full = list(stream(graph, level, labels))
             assert list(stream(graph, level, labels, None)) == full
             shape_of = [_shape(cand, *labels) for cand, _ in full]
-            e = graph.n_edges
+            every += zip(full, shape_of)
             # the bare shape, a one-edge shape, the psi^1 shapes of a cut, all
             # shapes, and psi on leg i only at level 2
             for idx, shapes in enumerate(({_BARE}, {(1, 0, 0)},
@@ -474,6 +477,15 @@ def test_shape_filtered_streams_match_filtered_full_streams():
                 got = list(stream(graph, level, labels, shapes))
                 assert got == want, (graph, level, labels, shapes)
                 kept[stream.__name__, idx] += len(got)
+        # the same sets, and cut shapes that at level 1 only an edge with psi
+        # on an end reaches: the decorated copies carry psi^2 on one
+        for idx, shapes in enumerate(({_BARE}, {(1, 0, 0)}, {(e - 1, 1, 0), (e - 1, 0, 1)},
+                                      {(e, 1, 0)}, {(e - 1, 2, 0)}, {(e - 1, 0, 3)},
+                                      {(e - 1, 1, 2)})):
+            want = [item for item, shape in every if shape in shapes]
+            got = list(_candidates_of_valid(graph, level, labels, shapes))
+            assert got == want, (graph, level, labels, shapes)
+            kept["all", idx] += len(got)
     # a cut always puts psi^level on a new leg, so it is never bare; the
     # other sets keep candidates of every stream that can have their shape
     assert kept["_cut_candidates", 0] == 0 and kept["_cut_candidates", 1] == 0
@@ -482,6 +494,7 @@ def test_shape_filtered_streams_match_filtered_full_streams():
     assert kept["_cut_candidates", 2] > 0
     assert kept["_reduce_candidates", 4] and kept["_split_candidates", 4]
     assert sum(kept[stream.__name__, 3] for stream in streams) > 100_000
+    assert all(kept["all", idx] for idx in range(7)), kept
 
 
 def _first_signature_error(candidates, ambient):

@@ -415,20 +415,27 @@ def test_targeted_extraction_matches_full_image_with_overrides(witness):
 def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
     """Boundary images built from the shape-filtered, move-checked stream equal
     those that build and check every candidate, on witness, one-edge and
-    psi^1 shapes."""
+    psi^1 shapes, and on shapes only a cut of an edge with end psi (in either
+    orientation), a two-edge cut or a reduce or split of a two-edge graph
+    reaches; a row that cannot reach the shapes builds nothing."""
     i_lab, j_lab = n + 1, n + 2
     out = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
     witnesses = (witness_graph_for(m, g, n) for m in generator_monomials(g, n, k))
     witness_shapes = {verifier._BARE} | {verifier._shape(w, i_lab, j_lab)
                                          for w in witnesses if w is not None}
-    terms = 0
-    for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}):
+    # psi^2 or psi^1 on both new legs: a cut of the one edge, with psi on an
+    # end; one edge left: a cut of two; two edges: a reduce or split
+    hard = ({(0, 2, 0)}, {(0, 0, 2)}, {(0, 1, 1)}, {(1, 1, 0)}, {(2, 0, 0)})
+    terms = Counter()
+    for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}, *hard):
         for G in boundary_generators(g, n, k):
             image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out)
             got = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in image))
             assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
-            terms += len(got)
-    assert terms > 0
+            terms[frozenset(shapes)] += len(got)
+    assert sum(terms.values()) > 0
+    if k >= 2:
+        assert all(terms[frozenset(shapes)] for shapes in hard), terms
 
 
 def _inject(monkeypatch, target, extras):
@@ -502,6 +509,27 @@ def test_candidate_off_the_ambient_raises_in_a_targeted_generator_stream(monkeyp
     _inject(monkeypatch, single_vertex(6, kappa=(1,)), [(stray, 1)])
     with pytest.raises(SignatureError, match="arithmetic genus 6"):
         verify_witness_independence(6, 0, 1)
+
+
+@pytest.mark.parametrize("stray,message", [
+    # a self-loop on genus 6: every candidate has genus 6 on the genus-5 ambient
+    (DecoratedGraph((6,), (), ((0, 0, 0, 0),)),
+     "graph has arithmetic genus 6, ambient requires 5"),
+    # a marking on an instance with none
+    (DecoratedGraph((5,), ((0, 3, 0),), ((0, 0, 0, 0),)),
+     "graph markings (1, 2, 3) differ from ambient (1, 2)"),
+])
+def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
+        monkeypatch, stray, message):
+    # the row's moves all keep an edge or put psi on leg i or j, so none
+    # reaches a witness or a bare term, yet its signature is still checked
+    assert not list(_candidates_of_valid(stray, 1, (1, 2), {verifier._BARE}))
+    real = verifier.boundary_generators
+    monkeypatch.setattr(verifier, "boundary_generators",
+                        lambda g, n, k: real(g, n, k) + [stray])
+    with pytest.raises(SignatureError) as exc:
+        verify_witness_independence(6, 0, 1)
+    assert str(exc.value) == message
 
 
 def test_witness_self_coefficients_match_the_split_rule():
