@@ -64,11 +64,12 @@ class AmbientSignature(namedtuple("AmbientSignature", "genus markings max_compon
 
     def _check_genus_and_markings(self, pa: int, markings) -> None:
         """The genus and marking part of ``check``, for a graph of arithmetic
-        genus ``pa`` whose legs carry ``markings``, in any order."""
+        genus ``pa`` whose legs carry ``markings``, in any order: each ambient
+        marking exactly once."""
         if pa != self.genus:
             raise SignatureError(
                 f"graph has arithmetic genus {pa}, ambient requires {self.genus}")
-        if set(markings) != self.markings:
+        if len(markings) != len(self.markings) or set(markings) != self.markings:
             raise SignatureError(
                 f"graph markings {tuple(sorted(markings))} differ from ambient "
                 f"{self.marking_tuple()}")

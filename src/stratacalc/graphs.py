@@ -288,9 +288,11 @@ def _candidate_orders(g: DecoratedGraph):
     cells = [[] for _ in range(max(colors) + 1)]
     for v, c in enumerate(colors):
         cells[c].append(v)
-    if prod(factorial(len(cell)) for cell in cells) > _ORDERING_GUARD:
+    orders = prod(factorial(len(cell)) for cell in cells)
+    if orders > _ORDERING_GUARD:
         raise SizeGuardError(
-            f"canonicalization search space too large for {g.n_vertices} vertices")
+            f"canonicalization search space too large: {orders} vertex orders, over "
+            f"the {_ORDERING_GUARD} allowed, for {g!r}")
     return (tuple(itertools.chain.from_iterable(combo))
             for combo in itertools.product(*(itertools.permutations(cell)
                                              for cell in cells)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from operator import index
@@ -241,16 +240,13 @@ def faber_constant(g: int, l: int) -> Fraction:
 
 # --------------------------------------------------------------- verifications
 
-@dataclass(frozen=True)
-class KappaIdentityReport:
-    """Outcome of re-deriving the two-point pushforward identity."""
+class KappaIdentityReport(namedtuple("KappaIdentityReport",
+                                     "g l ok lhs rhs extreme_constant")):
+    """Outcome of re-deriving the two-point pushforward identity.
 
-    g: int
-    l: int
-    ok: bool
-    lhs: InteriorClass
-    rhs: InteriorClass
-    extreme_constant: Fraction | None   # set when l in {0, g-2} and lhs == c*kappa_{g-2}
+    ``extreme_constant`` is set when l is 0 or g-2 and lhs == c*kappa_{g-2}."""
+
+    __slots__ = ()
 
 
 def verify_kappa_identity(g: int, l: int) -> KappaIdentityReport:
@@ -277,23 +273,19 @@ def verify_kappa_identity(g: int, l: int) -> KappaIdentityReport:
     return KappaIdentityReport(g, l, lhs == rhs, lhs, rhs, extreme)
 
 
-@dataclass(frozen=True)
-class KappaFactorEntry:
-    l: int
-    constant: Fraction
-    nondegenerate: bool          # constant != 1
-    relation: str
+class KappaFactorEntry(namedtuple("KappaFactorEntry", "l constant nondegenerate relation")):
+    """One l: the constant, whether it differs from 1, and the relation."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KappaNonvanishingReport:
+class KappaNonvanishingReport(namedtuple(
+        "KappaNonvanishingReport", "g entries all_nondegenerate axiom",
+        defaults=("kappa_{g-2} != 0 in the interior ring (assumed, not verified)",))):
     """Nonvanishing of every kappa_l below the socle, conditional on the axiom
     kappa_{g-2} != 0 (cited, not verified here)."""
 
-    g: int
-    entries: tuple[KappaFactorEntry, ...]
-    all_nondegenerate: bool
-    axiom: str = "kappa_{g-2} != 0 in the interior ring (assumed, not verified)"
+    __slots__ = ()
 
 
 def kappa_nonvanishing_report(g: int) -> KappaNonvanishingReport:

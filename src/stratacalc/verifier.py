@@ -28,7 +28,7 @@ as not checked, and the run does not pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .classes import TautClass, _merged, monomial_class
@@ -198,21 +198,15 @@ def _witness_assumptions(mono: InteriorMonomial, g: int, n: int, witness: Decora
 
 # -------------------------------------------------------------- linear system
 
-@dataclass(frozen=True)
-class SystemReport:
-    """Coefficient equations obtained from the pushforward pipeline."""
+class SystemReport(namedtuple("SystemReport", "g n k mode unknowns matrix determinant "
+                                               "factor images assumptions passed")):
+    """Coefficient equations obtained from the pushforward pipeline.
 
-    g: int
-    n: int
-    k: int
-    mode: str                                  # "two-by-two" | "distinct-images"
-    unknowns: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...] | None
-    determinant: Fraction | None
-    factor: Fraction | None                    # common image factor for n >= 2
-    images: tuple[str, ...]
-    assumptions: tuple[str, ...]
-    passed: bool
+    ``mode`` is "two-by-two" (``matrix`` and ``determinant`` set) or
+    "distinct-images" (``factor``, the common image factor for n >= 2, set);
+    coefficients are ``Fraction``s."""
+
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {
@@ -328,21 +322,17 @@ def _render_graph(graph: DecoratedGraph, n: int) -> str:
     return body + (" " + " ".join(edge_bits) if edge_bits else "")
 
 
-@dataclass(frozen=True)
-class MonomialEntry:
-    monomial: str
-    branch: str            # "witness-split" | "proposition1" | "pushforward-system"
-    passed: bool
-    witness_hex: str | None = None
-    witness_display: str | None = None
-    self_coefficient: str | None = None
-    generator_coefficients: tuple[tuple[str, str], ...] = ()
-    boundary_coefficients: tuple[str, ...] = ()   # aligned with boundary_forms
-    constant: str | None = None
-    system: dict | None = None
-    assumptions: tuple[str, ...] = ()
-    extrapolated: bool = False
-    violations: tuple[str, ...] = ()
+class MonomialEntry(namedtuple(
+        "MonomialEntry",
+        "monomial branch passed witness_hex witness_display self_coefficient "
+        "generator_coefficients boundary_coefficients constant system assumptions "
+        "extrapolated violations",
+        defaults=(None, None, None, (), (), None, None, (), False, ()))):
+    """One generator monomial's verdict.  ``branch`` is "witness-split",
+    "proposition1" or "pushforward-system"; ``boundary_coefficients`` is
+    aligned with the report's ``boundary_forms``."""
+
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         obj = {
@@ -368,21 +358,17 @@ class MonomialEntry:
         return obj
 
 
-@dataclass
-class VerificationReport:
-    g: int
-    n: int
-    k: int
-    i_label: int
-    j_label: int
-    entries: tuple[MonomialEntry, ...]
-    boundary_forms: tuple[str, ...]     # canonical hex of each boundary generator
-    structural_ok: bool
-    structural_violations: tuple[str, ...]
-    sub_instances: tuple[tuple[int, int, int, bool], ...] = ()
-    passed: bool = False
-    # assumed sub-instances left unchecked: (g, n, k, "budget" | "guard" | "range")
-    not_checked: tuple[tuple[int, int, int, str], ...] = ()
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "g n k i_label j_label entries boundary_forms structural_ok "
+        "structural_violations sub_instances passed not_checked",
+        defaults=((), False, ()))):
+    """The per-instance report.  ``boundary_forms`` holds the canonical hex of
+    each boundary generator; ``sub_instances`` the ``(g, n, k, passed)`` checked
+    under ``recursive``; ``not_checked`` the assumed sub-instances left
+    unchecked, as ``(g, n, k, "budget" | "guard" | "range")``."""
+
+    __slots__ = ()
 
     @property
     def boundary_total(self) -> int:

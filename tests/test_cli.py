@@ -132,6 +132,20 @@ def test_r1_reports_the_first_faulty_term(tmp_path, capsys, first, code, message
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_r1_guard_refusal_names_the_graph(tmp_path, capsys):
+    """A class whose term has too many vertex orders for the canonical-form
+    search exits 3, and the refusal prints the graph and both counts."""
+    star = DecoratedGraph((0,) + (1,) * 10, (), tuple((0, 0, v, 0) for v in range(1, 11)))
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({
+        "ambient": {"genus": 10, "markings": [], "max_components": 1},
+        "terms": [{"coeff": "1", "graph": graph_to_obj(star)}]}))
+    assert run("r1", "--in", path) == 3
+    assert capsys.readouterr() == ("", (
+        "size guard exceeded: canonicalization search space too large: 3628800 "
+        f"vertex orders, over the 1000000 allowed, for {star!r}\n"))
+
+
 def test_r1_level2_needs_experimental(tmp_path):
     src = FIXTURES / "fundamental_class_genus2.json"
     assert run("r1", "--in", src, "--level", 2,

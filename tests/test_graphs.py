@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -379,10 +380,12 @@ def test_automorphism_star_of_nine_vertices():
 
 
 def test_automorphism_size_guard():
-    # 10! leaf orders exceed the search's guard of 10^6: both callers fail closed
-    with pytest.raises(SizeGuardError):
+    # 10! leaf orders exceed the search's guard of 10^6: both callers fail
+    # closed, and the refusal names the graph and both counts
+    refusal = re.escape(f"3628800 vertex orders, over the 1000000 allowed, for {star(10)!r}")
+    with pytest.raises(SizeGuardError, match=refusal):
         automorphism_count(star(10))
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=refusal):
         canonicalize(star(10))
 
 

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import stratacalc
@@ -74,3 +76,14 @@ def test_benchmark_bindings_resolve():
     # the tracer calls the class constructor it wraps as init(obj, ambient, terms)
     init = stratacalc.TautClass.__dict__["__init__"]
     assert list(inspect.signature(init).parameters) == ["self", "ambient", "terms"]
+
+
+def test_import_generates_no_code():
+    """Importing the package and its CLI, in a fresh interpreter without
+    ``site``, loads no code generator: neither ``dataclasses`` nor the
+    ``inspect`` it imports."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import stratacalc, stratacalc.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,5 +1,6 @@
 """Generator/boundary enumeration, witnesses, coefficient systems, reports."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,12 +21,14 @@ from stratacalc import (
     enumerate_stable_graphs,
     generator_monomials,
     invariance_operator,
+    kappa_nonvanishing_report,
     single_vertex,
     solve_coefficient_system,
+    verify_kappa_identity,
     verify_witness_independence,
     witness_graph_for,
 )
-from stratacalc import verifier
+from stratacalc import pushforward, verifier
 from stratacalc.invariance import _candidates_of_valid
 
 from oracles import (
@@ -227,6 +230,46 @@ def test_verify_reports_are_byte_identical():
     a = verify_witness_independence(6, 1, 1).to_json()
     b = verify_witness_independence(6, 1, 1).to_json()
     assert a == b
+
+
+def test_report_records_keep_fields_defaults_and_repr():
+    """The six report records are named tuples with the fields, in order, and
+    the defaults they had as dataclasses, and they print as they did then (the
+    digest was taken of the dataclass reprs).  A report is immutable."""
+    records = {
+        verifier.SystemReport: (
+            ("g", "n", "k", "mode", "unknowns", "matrix", "determinant", "factor",
+             "images", "assumptions", "passed"), {}),
+        verifier.MonomialEntry: (
+            ("monomial", "branch", "passed", "witness_hex", "witness_display",
+             "self_coefficient", "generator_coefficients", "boundary_coefficients",
+             "constant", "system", "assumptions", "extrapolated", "violations"),
+            {"witness_hex": None, "witness_display": None, "self_coefficient": None,
+             "generator_coefficients": (), "boundary_coefficients": (), "constant": None,
+             "system": None, "assumptions": (), "extrapolated": False, "violations": ()}),
+        verifier.VerificationReport: (
+            ("g", "n", "k", "i_label", "j_label", "entries", "boundary_forms",
+             "structural_ok", "structural_violations", "sub_instances", "passed",
+             "not_checked"),
+            {"sub_instances": (), "passed": False, "not_checked": ()}),
+        pushforward.KappaIdentityReport: (
+            ("g", "l", "ok", "lhs", "rhs", "extreme_constant"), {}),
+        pushforward.KappaFactorEntry: (("l", "constant", "nondegenerate", "relation"), {}),
+        pushforward.KappaNonvanishingReport: (
+            ("g", "entries", "all_nondegenerate", "axiom"),
+            {"axiom": "kappa_{g-2} != 0 in the interior ring (assumed, not verified)"}),
+    }
+    for record, (fields, defaults) in records.items():
+        assert (record._fields, record._field_defaults) == (fields, defaults), record
+    report = verify_witness_independence(6, 1, 1)
+    text = "".join(map(repr, (
+        verify_kappa_identity(4, 1), verify_kappa_identity(5, 0),
+        kappa_nonvanishing_report(5), solve_coefficient_system(6, 1),
+        solve_coefficient_system(6, 3), report)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e425671a9eb10da5f1f7687c78c7d6d23779f606fadae2bee597e7cc907d1193"
+    with pytest.raises(AttributeError):
+        report.passed = False
 
 
 def test_verify_extrapolated_flag_multimark_low_degree():
@@ -518,6 +561,9 @@ def test_candidate_off_the_ambient_raises_in_a_targeted_generator_stream(monkeyp
     # a marking on an instance with none
     (DecoratedGraph((5,), ((0, 3, 0),), ((0, 0, 0, 0),)),
      "graph markings (1, 2, 3) differ from ambient (1, 2)"),
+    # marking 1, which leg i also carries when n = 0: the marking set is right
+    (DecoratedGraph((5,), ((0, 1, 0),), ((0, 0, 0, 0),)),
+     "graph markings (1, 1, 2) differ from ambient (1, 2)"),
 ])
 def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
         monkeypatch, stray, message):
