@@ -20,14 +20,16 @@ All values are immutable and hashable and every function is pure, so the
 module is safe to use from concurrent contexts.  Canonical forms are computed
 by invariant-based partition refinement followed by exhaustive search over the
 residual vertex orderings; graphs here are tiny, so correctness beats
-sophistication.  The same search yields the automorphism group order: the
-orderings that tie for the least encoding are the vertex automorphisms.
-Refinement almost always ends discrete, leaving one ordering: measured
-searches try 1.000 to 1.12 orderings each (593 searches and 599 orderings for
-verify (6,2,2), 32,976 and 33,436 for the boundary generators of (9,3,3),
-741 and 832 for enumeration and boundary generators at (9,0,3)).  A search
-therefore costs its fixed per-graph work, which is what the code here keeps
-small, and not its branching.
+sophistication.  The same search yields the vertex automorphisms: the
+orderings that tie for the least encoding.  Enumeration uses them to place
+markings on unmarked shapes once per isomorphism class, so it searches each
+shape and each graph it returns once.  Refinement almost always ends
+discrete, leaving one ordering: measured searches try 1.000 to 1.12
+orderings each (261 searches and 269 orderings for verify (6,2,2), 17,732
+and 18,012 for the boundary generators of (9,3,3), 741 and 832 for
+enumeration and boundary generators at (9,0,3)).  A search therefore costs
+its fixed per-graph work, which is what the code here keeps small, and not
+its branching.
 """
 
 from __future__ import annotations
@@ -300,9 +302,9 @@ def _candidate_orders(g: DecoratedGraph):
 
 def _encode_under(g: DecoratedGraph, order):
     pos = {old: new for new, old in enumerate(order)}
-    verts = tuple((g.genera[o], g.kappa[o]) for o in order)
+    verts = tuple([(g.genera[o], g.kappa[o]) for o in order])
     # the legs are in marking order, and markings are distinct
-    legs = tuple((m, pos[v], p) for v, m, p in g.legs)
+    legs = tuple([(m, pos[v], p) for v, m, p in g.legs])
     edges = []
     for v1, p1, v2, p2 in g.edges:
         a, b = (pos[v1], p1), (pos[v2], p2)
@@ -313,24 +315,28 @@ def _encode_under(g: DecoratedGraph, order):
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_search(g: DecoratedGraph):
-    """Canonical form, canonical representative, and the number of candidate
-    orders that tie for the least encoding.  Two tied orders differ by a
-    vertex permutation preserving genus, kappa, legs and the edge multiset,
-    and every such permutation keeps the refinement colors, so the tie count
-    is the number of these permutations.  ``g`` must be valid: the search
-    does not check it (see ``canonicalize``)."""
+    """Canonical form, canonical representative, and the representative's
+    non-identity vertex automorphisms, as tuples ``s`` mapping ``v`` to
+    ``s[v]``: one per further candidate order tied for the least encoding.
+    Tied orders differ by a vertex permutation preserving genus, kappa, legs
+    and the edge multiset, and every such permutation keeps the refinement
+    colors, so these are all of them; most graphs have none.  The search
+    checks nothing (see ``canonicalize``), and runs on unstable shapes too."""
     best_key = None
-    ties = 0
     for order in _candidate_orders(g):
         key = _encode_under(g, order)
         if key == best_key:
-            ties += 1
+            tied.append(order)
         elif best_key is None or key < best_key:
-            best_key, ties = key, 1
+            best_key, best, tied = key, order, []
     verts, legs, edges = best_key
     genera, kappa = zip(*verts)
-    canon = DecoratedGraph._of(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
-    return "".join(_COMPACT(best_key, 0)).encode("ascii"), canon, ties
+    canon = DecoratedGraph._of(genera, tuple([(v, m, p) for m, v, p in legs]), edges, kappa)
+    autos = ()
+    if tied:
+        pos = {old: new for new, old in enumerate(best)}
+        autos = tuple(tuple([pos[v] for v in order]) for order in tied)
+    return "".join(_COMPACT(best_key, 0)).encode("ascii"), canon, autos
 
 
 def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
@@ -354,16 +360,16 @@ def canonical_form(g: DecoratedGraph) -> CanonicalForm:
 def automorphism_count(g: DecoratedGraph) -> int:
     """Order of the decoration- and marking-preserving automorphism group.
 
-    The vertex permutations are the tied orders of the canonical-form search;
-    each one lifts to the half-edges in prod(mult!) * 2^loops ways: parallel
-    edges with equal psi data permute freely, and a self-loop with equal psi
-    on both ends may flip.
+    The vertex permutations are the identity and the automorphisms that the
+    canonical-form search returns; each one lifts to the half-edges in
+    prod(mult!) * 2^loops ways: parallel edges with equal psi data permute
+    freely, and a self-loop with equal psi on both ends may flip.
     """
     g.require_valid()
-    _, canon, ties = _canonical_search(g)
+    _, canon, autos = _canonical_search(g)
     edges = Counter(canon.edges)
     loops = sum(mult for (v1, p1, v2, p2), mult in edges.items() if (v1, p1) == (v2, p2))
-    return ties * prod(factorial(mult) for mult in edges.values()) * 2 ** loops
+    return (1 + len(autos)) * prod(factorial(mult) for mult in edges.values()) * 2 ** loops
 
 
 # ----------------------------------------------------------------- enumeration
@@ -401,25 +407,71 @@ def _moved_half_edges(graph: DecoratedGraph, v: int, last_stays: bool = False):
                _sorted_edges(moved_edges) if mask >> len(at_v) else edges)
 
 
-def _one_edge_degenerations(graph: DecoratedGraph):
-    """Yield the stable graphs with one edge more than the stable ``graph``: a
-    self-loop at a vertex of genus >= 1, lowering its genus, or a split of a
-    vertex into two parts joined by a new edge, with every genus split and
-    every assignment of the vertex's half-edges.  Only the two parts of a split
-    can be unstable.  Swapping the parts gives an isomorphic graph, so the
-    vertex's last half-edge stays on the old vertex."""
-    genera, edges, kappa = graph.genera, graph.edges, graph.kappa
+def _deficits(shape: DecoratedGraph) -> list[int]:
+    """Per vertex, the markings it needs to be stable: ``max(0, 3 - 2h - d)``
+    for genus h and d edge ends."""
+    degree = [0] * len(shape.genera)
+    for v1, _, v2, _ in shape.edges:
+        degree[v1] += 1
+        degree[v2] += 1
+    return [max(0, 3 - 2 * h - d) for h, d in zip(shape.genera, degree)]
+
+
+def _shape_degenerations(shape: DecoratedGraph, n: int):
+    """Yield the shapes with one edge more than ``shape`` whose deficits sum
+    to at most ``n``: a self-loop at a vertex of genus >= 1, lowering its
+    genus, or a split of a vertex into two parts joined by a new edge, with
+    every genus split and every assignment of the vertex's edge ends.  A
+    loop keeps the deficit, and only the two parts of a split change it.
+    Swapping the parts gives an isomorphic shape, so the vertex's last edge
+    end stays on the old vertex."""
+    genera, edges, kappa = shape.genera, shape.edges, shape.kappa
     new_v = len(genera)
+    deficits = _deficits(shape)
+    slack = n - sum(deficits)
     for v, h in enumerate(genera):
         if h:
-            yield DecoratedGraph._of(genera[:v] + (h - 1,) + genera[v + 1:], graph.legs,
+            yield DecoratedGraph._of(genera[:v] + (h - 1,) + genera[v + 1:], (),
                                      tuple(sorted(edges + ((v, 0, v, 0),))), kappa)
-        for stay, moved, legs, moved_edges in _moved_half_edges(graph, v, last_stays=True):
+        room = slack + deficits[v]
+        for stay, moved, _, moved_edges in _moved_half_edges(shape, v, last_stays=True):
             moved_edges = tuple(sorted(moved_edges + ((v, 0, new_v, 0),)))
             for g1 in range(h + 1):
-                if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0:
+                if max(0, 2 - 2 * g1 - stay) + max(0, 2 - 2 * (h - g1) - moved) <= room:
                     yield DecoratedGraph._of(genera[:v] + (g1,) + genera[v + 1:] + (h - g1,),
-                                             legs, moved_edges, kappa + ((),))
+                                             (), moved_edges, kappa + ((),))
+
+
+def _placements(shape: DecoratedGraph, autos, n: int) -> list[tuple[int, ...]]:
+    """The orbit-least stable placements of markings ``1..n`` on the vertices
+    of ``shape``, as tuples whose entry m - 1 is the vertex of marking m.
+
+    Markings are placed in order.  A partial placement is kept only if the
+    markings left can cover the deficits, and if it is lexicographically <=
+    its image under each automorphism in ``autos`` (``live``: those it equals
+    so far).  Two placements give isomorphic graphs exactly when an
+    automorphism maps one onto the other, so each class comes once."""
+    need = _deficits(shape)
+    out = []
+
+    def extend(place, short, live):
+        if len(place) == n:
+            out.append(place)
+            return
+        for v, d in enumerate(need):
+            covers = place.count(v) < d
+            if short - covers < n - len(place) and (not live or all(s[v] >= v for s in live)):
+                extend(place + (v,), short - covers, live and [s for s in live if s[v] == v])
+
+    if sum(need) <= n:
+        extend((), sum(need), autos)
+    return out
+
+
+def _placed(shape: DecoratedGraph, placement) -> DecoratedGraph:
+    """``shape`` with marking m on vertex ``placement[m - 1]``."""
+    return DecoratedGraph._of(shape.genera, tuple([(v, m, 0) for m, v in enumerate(placement, 1)]),
+                              shape.edges, shape.kappa)
 
 
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,
@@ -433,9 +485,19 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
     ``min_edges=0`` explicitly to include the smooth graph alongside the
     degenerate ones.
 
-    Level e is grown from level e - 1 by one-edge degenerations (a self-node,
-    or a vertex split), the inverse of contracting an edge.
-    ``STRATA_MAX_GRAPHS`` caps the returned list; lower levels do not count.
+    Shapes first: the graphs without legs whose vertex deficits
+    (``_deficits``) sum to at most n grow level by level from the one-vertex
+    shape by one-edge degenerations, each searched once for its
+    representative and automorphisms.  That reaches every shape: contracting
+    an edge keeps a shape connected and never raises its total deficit
+    (deficits a and b merge to max(0, a + b - 1); a contracted loop keeps
+    its vertex's).  Then each shape at a returned level takes its
+    orbit-least placements of the markings (``_placements``), and each
+    marked graph is searched once, for its representative and its place in
+    the sorted output; with n = 0 the shape is the graph.
+    ``STRATA_MAX_GRAPHS`` caps the returned list; lower levels do not count,
+    and the refusal comes from counting placements, before any marked graph
+    is searched.
     """
     if g < 0 or n < 0 or max_edges < 0:
         raise ValueError("g, n and max_edges must be non-negative")
@@ -444,25 +506,27 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
     if not 0 <= min_edges <= max_edges:
         raise ValueError("need 0 <= min_edges <= max_edges")
     cap = _graph_cap()
-
-    smooth = single_vertex(g, range(1, n + 1))
-    if smooth.validate():
+    if 2 * g - 2 + n <= 0:      # the smooth graph is unstable: its deficit exceeds n
         return []
-    found: dict[CanonicalForm, DecoratedGraph] = {}
-    below = ()
+
+    level = [_canonical_search(single_vertex(g))]    # (form, shape, automorphisms)
+    counted = []    # (form, shape, placements) at the levels returned
+    total = 0
     for e in range(max_edges + 1):
-        candidates = ([smooth] if e == 0 else
-                      (cand for graph in below for cand in _one_edge_degenerations(graph)))
-        level: dict[CanonicalForm, DecoratedGraph] = {}
-        for cand in candidates:
-            form, canon, _ = _canonical_search(cand)
-            level[form] = canon
-            if e >= min_edges and len(found) + len(level) > cap:
-                raise SizeGuardError(f"enumeration of (g={g}, n={n}, max_edges={max_edges}) "
-                                     f"exceeded STRATA_MAX_GRAPHS={cap}")
-        if not level:
-            break
+        if e:
+            level = {found[0]: found for _, parent, _ in level
+                     for found in map(_canonical_search, _shape_degenerations(parent, n))}.values()
         if e >= min_edges:
-            found.update(level)
-        below = level.values()
-    return [found[f] for f in sorted(found)]
+            for form, shape, autos in level:
+                placements = _placements(shape, autos, n)
+                total += len(placements)
+                if total > cap:
+                    raise SizeGuardError(f"enumeration of (g={g}, n={n}, max_edges={max_edges}) "
+                                         f"exceeded STRATA_MAX_GRAPHS={cap}")
+                counted.append((form, shape, placements))
+    if n:
+        graphs = [_canonical_search(_placed(shape, p))[:2]
+                  for _, shape, placements in counted for p in placements]
+    else:   # a shape of deficit 0 is its own graph, and is searched already
+        graphs = [(form, shape) for form, shape, placements in counted if placements]
+    return [canon for _, canon in sorted(graphs)]

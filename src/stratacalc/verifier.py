@@ -329,8 +329,9 @@ class MonomialEntry(namedtuple(
         "extrapolated violations",
         defaults=(None, None, None, (), (), None, None, (), False, ()))):
     """One generator monomial's verdict.  ``branch`` is "witness-split",
-    "proposition1" or "pushforward-system"; ``boundary_coefficients`` is
-    aligned with the report's ``boundary_forms``."""
+    "proposition1" or "pushforward-system", whose entries hold the
+    ``SystemReport`` in ``system``; ``boundary_coefficients`` is aligned with
+    the report's ``boundary_forms``."""
 
     __slots__ = ()
 
@@ -354,7 +355,7 @@ class MonomialEntry(namedtuple(
         if self.constant is not None:
             obj["constant"] = self.constant
         if self.system is not None:
-            obj["system"] = self.system
+            obj["system"] = self.system.to_obj()
         return obj
 
 
@@ -515,7 +516,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                 entries.append(MonomialEntry(
                     monomial=str(mono), branch="pushforward-system",
                     passed=system_cache.passed,
-                    system=system_cache.to_obj(),
+                    system=system_cache,
                     assumptions=system_cache.assumptions,
                     violations=() if system_cache.passed
                     else ("coefficient system is degenerate",)))

@@ -671,10 +671,12 @@ def _encode_under(g: DecoratedGraph, order):
     return (verts, legs, tuple(sorted(edges)))
 
 
-def canonical_search_reference(g: DecoratedGraph):
+def canonical_search_reference(g: DecoratedGraph, stable: bool = True):
     """The former ``graphs._canonical_search``, uncached: canonical form,
-    canonical representative and the number of tied candidate orders."""
-    diags = validate_reference(g)
+    canonical representative and the number of tied candidate orders.  With
+    ``stable=False`` it also searches a graph whose only fault is an unstable
+    vertex, such as an unmarked shape."""
+    diags = [d for d in validate_reference(g) if stable or not d.startswith("unstable vertex")]
     if diags:
         raise InvalidGraphError(diags)
     best_key = None

@@ -1,6 +1,7 @@
 """Graph core: validation, genus bookkeeping, canonical forms, enumeration."""
 
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -230,19 +231,26 @@ def test_canonical_agrees_with_bruteforce_oracle():
         assert (canonical_form(a) == canonical_form(b)) == iso_bruteforce(a, b)
 
 
-def _assert_search_matches_reference(g):
-    form, canon, ties = graphs._canonical_search.__wrapped__(g)
-    ref_form, ref_canon, ref_ties = canonical_search_reference(g)
+def _assert_search_matches_reference(g, stable=True):
+    """The search agrees with the reference, and each automorphism it returns
+    maps the representative onto itself: distinct non-identity permutations,
+    one per further tied order of the reference, so all of the group."""
+    form, canon, autos = graphs._canonical_search.__wrapped__(g)
+    ref_form, ref_canon, ref_ties = canonical_search_reference(g, stable)
     assert form == ref_form
     assert (canon.genera, canon.legs, canon.edges, canon.kappa) == (
         ref_canon.genera, ref_canon.legs, ref_canon.edges, ref_canon.kappa)
-    assert ties == ref_ties
+    assert 1 + len(autos) == ref_ties
+    assert len(set(autos)) == len(autos) and tuple(range(g.n_vertices)) not in autos
+    for s in autos:
+        assert sorted(s) == list(range(g.n_vertices)) and relabeled(canon, s) == canon
 
 
 def test_canonical_search_matches_reference_on_enumerate_ladder(monkeypatch):
-    """Every graph the enumerate-ladder benchmark canonicalizes: the candidates
-    of enumeration and of boundary decoration, recorded where they enter the
-    search, and the graphs they return."""
+    """Every graph the enumerate-ladder benchmark canonicalizes: the shapes
+    and marked graphs of enumeration and the candidates of boundary
+    decoration, recorded where they enter the search, and the graphs they
+    return.  Shapes may have unstable vertices."""
     inputs = set()
     real = graphs._canonical_search
 
@@ -256,9 +264,12 @@ def test_canonical_search_matches_reference_on_enumerate_ladder(monkeypatch):
         for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2)):
             inputs.update(enumerate_stable_graphs(g, n, e))
             inputs.update(verifier.boundary_generators(g, n, e))
-    assert len(inputs) > 4000
+    # 3,032 graphs; degeneration-grown enumeration searched 4,128, most of
+    # the difference being duplicate candidates
+    assert len(inputs) > 3000
+    assert any(not g.legs and g.validate() for g in inputs)   # unstable shapes
     for g in inputs:
-        _assert_search_matches_reference(g)
+        _assert_search_matches_reference(g, stable=False)
 
 
 def test_canonical_search_matches_reference_on_random_graphs():
@@ -285,7 +296,7 @@ def test_canonical_search_matches_reference_on_random_graphs():
         ends = [(v1, v2) for v1, _, v2, _ in g.edges]
         features["parallel edges"] += len(set(ends)) < len(ends)
         features["non-discrete refinement"] += sum(1 for _ in candidate_orders_reference(g)) > 1
-        features["ties"] += graphs._canonical_search.__wrapped__(g)[2] > 1
+        features["ties"] += len(graphs._canonical_search.__wrapped__(g)[2]) > 0
     assert min(features.values()) >= 30, features
 
 
@@ -543,25 +554,42 @@ def test_enumerate_returns_undecorated_canonical_graphs():
             assert G.degree() == G.n_edges   # psi = 0 and no kappa anywhere
 
 
+def _shape_of(graph):
+    """The search result of ``graph``'s shape: its genera and edges, without
+    legs, psi or kappa."""
+    return graphs._canonical_search(DecoratedGraph(
+        graph.genera, (), [(v1, 0, v2, 0) for v1, _, v2, _ in graph.edges]))
+
+
 def test_degenerations_and_decorations_are_built_in_normal_form():
     """Enumeration and boundary decoration skip the public constructor, so
     each graph's fields must already be what it makes of them: the one-edge
-    degenerations of every graph enumerated on the enumerate-ladder
-    instances and of seeded decorated graphs (psi on edge ends, kappa), every
-    decoration ``boundary_generators`` places there, and decorations of
-    degree 3 on some of those graphs.  They also skip validation on their way
-    to the canonical-form search, so each must be valid; the verify-ladder
-    instances join the enumerate-ladder ones for that."""
+    degenerations of the shape of every graph enumerated on the
+    enumerate-ladder instances and of seeded decorated graphs, the marked
+    graph of every placement on those shapes, every decoration
+    ``boundary_generators`` places there, and decorations of degree 3 on some
+    of those graphs.  They also skip validation on their way to the
+    canonical-form search, so each marked graph must be valid, and each shape
+    at most short of stability by the n markings; the verify-ladder instances
+    join the enumerate-ladder ones for that."""
     rng = random.Random(20261019)
-    decorated = [random_decorated_graph(rng, genus_range=(0, 4)) for _ in range(60)]
+    seeded = [_shape_of(random_decorated_graph(rng, genus_range=(0, 4))) for _ in range(60)]
     built = 0
     for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2),
                     (6, 2, 2), (6, 3, 1), (9, 0, 2), (6, 2, 1)):
         found = enumerate_stable_graphs(g, n, e, min_edges=0)
-        for graph in found + decorated:
-            for cand in graphs._one_edge_degenerations(graph):
-                assert_normal_form(cand, graph)
-                assert cand.validate() == [], (cand, graph)
+        for _, shape, autos in set(map(_shape_of, found)) | set(seeded):
+            # a seeded shape may need more markings than n
+            m = max(n, sum(graphs._deficits(shape)))
+            for cand in graphs._shape_degenerations(shape, m):
+                assert_normal_form(cand, shape)
+                assert sum(graphs._deficits(cand)) <= m, (cand, shape)
+                assert all(d.startswith("unstable vertex") for d in cand.validate()), cand
+                built += 1
+            for placement in graphs._placements(shape, autos, m):
+                cand = graphs._placed(shape, placement)
+                assert_normal_form(cand, shape)
+                assert cand.validate() == [], (cand, shape)
                 built += 1
         bases = [(base, e - base.n_edges) for base in found if base.n_edges]
         # degree 3 has the first kappa multiset listed unsorted, (2, 1)
@@ -571,3 +599,72 @@ def test_degenerations_and_decorations_are_built_in_normal_form():
                 assert cand.validate() == [], (cand, base)
                 built += 1
     assert built > 10_000
+
+
+def _shape_pool():
+    """Shapes with up to 4 vertices: those of every stable graph of genus 0..3
+    with up to 2 markings (unstable shapes among them) and of the unmarked
+    ones of genus 4 with 3 edges, many with vertex automorphisms."""
+    found = [G for g in range(4) for n in range(3) if 2 * g - 2 + n > 0
+             for G in enumerate_stable_graphs(g, n, 3, min_edges=0)]
+    found += enumerate_stable_graphs(4, 0, 3, min_edges=3)
+    return sorted(set(map(_shape_of, found)))
+
+
+def test_orbit_least_placements_match_bruteforce_placements():
+    """On seeded shapes, the orbit-least placements of n markings give each
+    stable marked graph of the shape once: their forms have no repeat, and
+    equal those of all V^n placements that make every vertex stable."""
+    rng = random.Random(2111)
+    features = Counter()
+    for _, shape, autos in rng.sample(_shape_pool(), 80):
+        short = sum(graphs._deficits(shape))
+        for n in sorted({0, short, short + 1, rng.randint(short, 4)}):
+            least = graphs._placements(shape, autos, n)
+            forms = [canonical_form(graphs._placed(shape, p)) for p in least]
+            every = {canonical_form(graph) for graph in
+                     map(graphs._placed, [shape] * shape.n_vertices ** n,
+                         itertools.product(range(shape.n_vertices), repeat=n))
+                     if not graph.validate()}
+            assert len(set(forms)) == len(forms) and set(forms) == every, (shape, n)
+            features["symmetric"] += bool(autos) and len(every) > 0
+            features["pruned"] += len(least) < shape.n_vertices ** n and n > 0
+            features["unstable shape"] += short > 0 and len(every) > 0
+    assert min(features.values()) >= 20, features
+
+
+def test_enumeration_matches_degeneration_oracle_on_seeded_sweep():
+    """Seeded instances with g <= 12, n <= 8 and up to 3 edges, each level
+    against ``degeneration_strata``, which grows the marked graphs
+    themselves; the sum bounds the cost of the instances drawn."""
+    rng = random.Random(2112)
+    grid = [(g, n, e) for g in range(13) for n in range(9) for e in range(1, 4)
+            if 2 * g - 2 + n > 0 and g // 3 + n + 3 * e <= 12]
+    for g, n, e in rng.sample(grid, 24):
+        oracle = degeneration_strata(g, n, e)
+        ours = enumerate_stable_graphs(g, n, e, min_edges=0)
+        for level in range(e + 1):
+            forms = [canonical_form(G) for G in ours if G.n_edges == level]
+            assert forms == sorted(oracle[level]), (g, n, e, level)
+
+
+def test_enumeration_searches_each_marked_graph_once(monkeypatch):
+    """At (2,5,2) the search cache misses once per distinct shape candidate
+    and once per marked graph: 20 shape candidates, for 12 shapes, and 500
+    graphs, where the degeneration-grown enumeration missed 940 times."""
+    searched = []
+    real = graphs._canonical_search
+
+    def recording(g):
+        searched.append(g)
+        return real(g)
+
+    real.cache_clear()
+    monkeypatch.setattr(graphs, "_canonical_search", recording)
+    found = enumerate_stable_graphs(2, 5, 2)
+    monkeypatch.undo()
+    misses = real.cache_info().misses
+    shapes = {form for form, _, _ in map(_shape_of, enumerate_stable_graphs(2, 5, 2, 0))}
+    marked = [g for g in searched if g.legs]
+    assert len(set(marked)) == len(marked) == len(found) == 500
+    assert misses == len(set(searched)) <= len(found) + 2 * len(shapes)

@@ -272,6 +272,19 @@ def test_report_records_keep_fields_defaults_and_repr():
         report.passed = False
 
 
+def test_report_with_a_pushforward_system_entry_hashes():
+    """A pushforward-system entry holds its ``SystemReport``, a tuple of
+    hashable fields, so a report holding one hashes as its field tuple; the
+    report writes the system's ``to_obj``."""
+    report = verify_witness_independence(6, 1, 2)
+    system = solve_coefficient_system(6, 1)
+    systems = [e.system for e in report.entries if e.branch == "pushforward-system"]
+    assert len(systems) == 2 and set(systems) == {system}
+    assert hash(report) == hash(verify_witness_independence(6, 1, 2))
+    assert [e["system"] for e in report.to_obj()["entries"] if "system" in e] == \
+        [system.to_obj()] * 2
+
+
 def test_verify_extrapolated_flag_multimark_low_degree():
     rep = verify_witness_independence(6, 2, 1)
     assert rep.passed
