@@ -23,10 +23,11 @@ residual vertex orderings; graphs here are tiny, so correctness beats
 sophistication.  The same search yields the vertex automorphisms: the
 orderings that tie for the least encoding.  Enumeration uses them to place
 markings on unmarked shapes once per isomorphism class, so it searches each
-shape and each graph it returns once.  Refinement almost always ends
+shape and each graph it returns once, and the boundary generators search
+each decoration of a placed graph once.  Refinement almost always ends
 discrete, leaving one ordering: measured searches try 1.000 to 1.12
-orderings each (261 searches and 269 orderings for verify (6,2,2), 17,732
-and 18,012 for the boundary generators of (9,3,3), 741 and 832 for
+orderings each (253 searches and 261 orderings for verify (6,2,2), 15,070
+and 15,325 for the boundary generators of (9,3,3), 684 and 750 for
 enumeration and boundary generators at (9,0,3)).  A search therefore costs
 its fixed per-graph work, which is what the code here keeps small, and not
 its branching.
@@ -60,17 +61,16 @@ _BY_MARKING = itemgetter(1, 0, 2)
 
 
 def compositions(total: int, parts: int):
-    """Yield every tuple of ``parts`` non-negative integers summing to ``total``."""
+    """Yield every tuple of ``parts`` non-negative integers summing to
+    ``total``, in lexicographic order: stars and bars, with the ``parts - 1``
+    bars at each subset of ``total + parts - 1`` slots, in order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
 #: A canonical form is plain bytes: see ``canonicalize``.
@@ -474,30 +474,19 @@ def _placed(shape: DecoratedGraph, placement) -> DecoratedGraph:
                               shape.edges, shape.kappa)
 
 
-def enumerate_stable_graphs(g: int, n: int, max_edges: int,
-                            min_edges: int | None = None) -> list[DecoratedGraph]:
-    """All connected stable dual graphs of arithmetic genus ``g`` with markings
-    ``1..n``, one canonical representative per isomorphism class, sorted by
-    encoding.  The representatives carry no decoration (psi = 0, no kappa).
+def _placed_shapes(g: int, n: int, max_edges: int, min_edges: int | None = None) -> list:
+    """``(edges, form, shape, placements)`` for each shape at the levels
+    ``enumerate_stable_graphs`` returns: its search form and representative
+    and its orbit-least placements of markings ``1..n`` (``_placements``).
 
-    By default the edge count ranges over ``1..max_edges`` (the proper
-    degenerations); ``max_edges == 0`` yields the smooth graph alone.  Pass
-    ``min_edges=0`` explicitly to include the smooth graph alongside the
-    degenerate ones.
-
-    Shapes first: the graphs without legs whose vertex deficits
-    (``_deficits``) sum to at most n grow level by level from the one-vertex
-    shape by one-edge degenerations, each searched once for its
+    The shapes, the graphs without legs whose vertex deficits
+    (``_deficits``) sum to at most n, grow level by level from the
+    one-vertex shape by one-edge degenerations, each searched once for its
     representative and automorphisms.  That reaches every shape: contracting
     an edge keeps a shape connected and never raises its total deficit
     (deficits a and b merge to max(0, a + b - 1); a contracted loop keeps
-    its vertex's).  Then each shape at a returned level takes its
-    orbit-least placements of the markings (``_placements``), and each
-    marked graph is searched once, for its representative and its place in
-    the sorted output; with n = 0 the shape is the graph.
-    ``STRATA_MAX_GRAPHS`` caps the returned list; lower levels do not count,
-    and the refusal comes from counting placements, before any marked graph
-    is searched.
+    its vertex's).  ``STRATA_MAX_GRAPHS`` caps the placements at the levels
+    returned, before any marked graph is built.
     """
     if g < 0 or n < 0 or max_edges < 0:
         raise ValueError("g, n and max_edges must be non-negative")
@@ -510,7 +499,7 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
         return []
 
     level = [_canonical_search(single_vertex(g))]    # (form, shape, automorphisms)
-    counted = []    # (form, shape, placements) at the levels returned
+    counted = []
     total = 0
     for e in range(max_edges + 1):
         if e:
@@ -523,10 +512,30 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
                 if total > cap:
                     raise SizeGuardError(f"enumeration of (g={g}, n={n}, max_edges={max_edges}) "
                                          f"exceeded STRATA_MAX_GRAPHS={cap}")
-                counted.append((form, shape, placements))
+                counted.append((e, form, shape, placements))
+    return counted
+
+
+def enumerate_stable_graphs(g: int, n: int, max_edges: int,
+                            min_edges: int | None = None) -> list[DecoratedGraph]:
+    """All connected stable dual graphs of arithmetic genus ``g`` with markings
+    ``1..n``, one canonical representative per isomorphism class, sorted by
+    encoding.  The representatives carry no decoration (psi = 0, no kappa).
+
+    By default the edge count ranges over ``1..max_edges`` (the proper
+    degenerations); ``max_edges == 0`` yields the smooth graph alone.  Pass
+    ``min_edges=0`` explicitly to include the smooth graph alongside the
+    degenerate ones.
+
+    Each placement of ``_placed_shapes``, which checks the arguments and
+    applies the ``STRATA_MAX_GRAPHS`` cap (lower levels do not count), gives
+    one graph, searched once for its representative and its place in the
+    sorted output; with n = 0 the shape is the graph.
+    """
+    counted = _placed_shapes(g, n, max_edges, min_edges)
     if n:
         graphs = [_canonical_search(_placed(shape, p))[:2]
-                  for _, shape, placements in counted for p in placements]
+                  for _, _, shape, placements in counted for p in placements]
     else:   # a shape of deficit 0 is its own graph, and is searched already
-        graphs = [(form, shape) for form, shape, placements in counted if placements]
+        graphs = [(form, shape) for _, form, shape, placements in counted if placements]
     return [canon for _, canon in sorted(graphs)]

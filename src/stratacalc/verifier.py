@@ -37,11 +37,12 @@ from .graphs import (
     CanonicalForm,
     DecoratedGraph,
     _canonical_search,
+    _placed,
+    _placed_shapes,
     _sorted_edges,
     canonicalize,
     compositions,
     disjoint_union,
-    enumerate_stable_graphs,
     single_vertex,
 )
 from .invariance import _candidates_of_valid, _output_signature, _target_key
@@ -90,17 +91,28 @@ def generator_monomials(g: int, n: int, k: int) -> list[InteriorMonomial]:
 def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
     """Every decorated stable graph of total degree k with >= 1 edge, canonical.
 
-    Decorations range over all kappa/psi placements of degree k - #edges.
+    Decorations range over all kappa/psi placements of degree k - #edges, on
+    the placed graphs of ``graphs._placed_shapes`` (the enumeration's checks
+    and cap) at levels 1..k, each decoration searched once; a placed graph
+    with k edges is its own only decoration, and at n = 0 its shape's search
+    serves.  Decorating commutes with relabelling, and a representative is a
+    function of its form, so that equals decorating the representatives.
     """
     if k < 1:
         raise ValueError("boundary generators need k >= 1")
     if k > _MAX_K:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
     found: dict[CanonicalForm, DecoratedGraph] = {}
-    for base in enumerate_stable_graphs(g, n, max_edges=k, min_edges=1):
-        for cand in _decorations(base, k - base.n_edges):
-            form, canon, _ = _canonical_search(cand)
-            found.setdefault(form, canon)
+    for e, shape_form, shape, placements in _placed_shapes(g, n, k, 1):
+        if e == k and not n:    # a shape of deficit 0 is its own graph, and is searched already
+            if placements:
+                found[shape_form] = shape
+            continue
+        for p in placements:
+            placed = _placed(shape, p)
+            for cand in _decorations(placed, k - e) if e < k else (placed,):
+                form, canon, _ = _canonical_search(cand)
+                found[form] = canon
     return [found[f] for f in sorted(found)]
 
 

@@ -192,6 +192,43 @@ def degeneration_strata(g: int, n: int, max_edges: int):
     return levels
 
 
+def _kappa_monomials(d: int):
+    """Every multiset of integers >= 1 of sum at most ``d``, as sorted tuples."""
+    return [part for size in range(d + 1)
+            for part in itertools.combinations_with_replacement(range(1, d + 1), size)
+            if sum(part) <= d]
+
+
+def boundary_generators_reference(g: int, n: int, k: int):
+    """Forms and representatives, sorted by form, of every decoration of
+    total degree k of the graphs of ``degeneration_strata`` with 1..k edges:
+    each graph takes every choice of a kappa monomial per vertex and a psi
+    exponent per half-edge whose degrees sum to k less its edges, and each
+    choice is built through the public constructor and searched by
+    ``canonical_search_reference``."""
+    found = {}
+    for e, level in degeneration_strata(g, n, k).items():
+        if not e:
+            continue
+        d = k - e
+        for graph in level.values():
+            V, L, E = graph.n_vertices, len(graph.legs), graph.n_edges
+            for choice in itertools.product(*[_kappa_monomials(d)] * V,
+                                            *[range(d + 1)] * (L + 2 * E)):
+                kappa, psi = choice[:V], choice[V:]
+                if sum(map(sum, kappa)) + sum(psi) != d:
+                    continue
+                decorated = DecoratedGraph(
+                    graph.genera,
+                    [(v, m, psi[i]) for i, (v, m, _) in enumerate(graph.legs)],
+                    [(v1, psi[L + 2 * i], v2, psi[L + 2 * i + 1])
+                     for i, (v1, _, v2, _) in enumerate(graph.edges)],
+                    kappa)
+                form, canon, _ = canonical_search_reference(decorated)
+                found[form] = canon
+    return sorted(found.items())
+
+
 # ------------------------------------------------------ brute-force enumeration
 
 def enumerate_bruteforce(g: int, n: int, max_edges: int,

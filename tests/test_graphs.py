@@ -554,6 +554,14 @@ def test_enumerate_returns_undecorated_canonical_graphs():
             assert G.degree() == G.n_edges   # psi = 0 and no kappa anywhere
 
 
+def test_compositions_list_the_filtered_product_in_order():
+    for total in range(6):
+        for parts in range(8):
+            expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                        if sum(c) == total]
+            assert list(graphs.compositions(total, parts)) == expected, (total, parts)
+
+
 def _shape_of(graph):
     """The search result of ``graph``'s shape: its genera and edges, without
     legs, psi or kappa."""
@@ -566,15 +574,17 @@ def test_degenerations_and_decorations_are_built_in_normal_form():
     each graph's fields must already be what it makes of them: the one-edge
     degenerations of the shape of every graph enumerated on the
     enumerate-ladder instances and of seeded decorated graphs, the marked
-    graph of every placement on those shapes, every decoration
-    ``boundary_generators`` places there, and decorations of degree 3 on some
-    of those graphs.  They also skip validation on their way to the
-    canonical-form search, so each marked graph must be valid, and each shape
-    at most short of stability by the n markings; the verify-ladder instances
-    join the enumerate-ladder ones for that."""
+    graph of every placement on those shapes, every decoration of degree e
+    less its edges on each canonical representative and on each placed graph
+    of ``_placed_shapes``, which ``boundary_generators`` decorates though 257
+    of the 1,473 are not canonical, and decorations of degree 3 on some of
+    both.  They also skip validation on their way to the canonical-form
+    search, so each marked graph must be valid, and each shape at most short
+    of stability by the n markings; the verify-ladder instances join the
+    enumerate-ladder ones for that."""
     rng = random.Random(20261019)
     seeded = [_shape_of(random_decorated_graph(rng, genus_range=(0, 4))) for _ in range(60)]
-    built = 0
+    built = relabelled = 0
     for g, n, e in ((2, 5, 2), (4, 4, 2), (9, 0, 3), (12, 1, 2),
                     (6, 2, 2), (6, 3, 1), (9, 0, 2), (6, 2, 1)):
         found = enumerate_stable_graphs(g, n, e, min_edges=0)
@@ -592,13 +602,19 @@ def test_degenerations_and_decorations_are_built_in_normal_form():
                 assert cand.validate() == [], (cand, shape)
                 built += 1
         bases = [(base, e - base.n_edges) for base in found if base.n_edges]
+        # boundary_generators decorates the placed graphs, not all canonical
+        placed = [(graphs._placed(shape, p), e - edges)
+                  for edges, _, shape, placements in graphs._placed_shapes(g, n, e)
+                  for p in placements]
+        relabelled += sum(base != canonicalize(base)[1] for base, _ in placed)
         # degree 3 has the first kappa multiset listed unsorted, (2, 1)
-        for base, d in bases + [(base, 3) for base in found[:5]]:
+        deep = found[:5] + [base for base, _ in placed[-5:]]
+        for base, d in bases + placed + [(base, 3) for base in deep]:
             for cand in verifier._decorations(base, d):
                 assert_normal_form(cand, base)
                 assert cand.validate() == [], (cand, base)
                 built += 1
-    assert built > 10_000
+    assert built > 10_000 and relabelled > 100
 
 
 def _shape_pool():
