@@ -47,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("r1", help="apply the genus-lowering operator to a class file")
     r.add_argument("--in", dest="infile", required=True)
-    r.add_argument("--level", type=int, default=1)
-    r.add_argument("--experimental", action="store_true",
-                   help="allow level >= 2 (grading not asserted)")
     r.add_argument("--out", default=None)
 
     pu = sub.add_parser("push", help="forgetful pushforward of an interior class file")
@@ -98,7 +95,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_r1(args) -> int:
     cls = class_from_obj(load_file(args.infile))
-    out = invariance_operator(cls, level=args.level, experimental=args.experimental)
+    out = invariance_operator(cls)
     _emit(class_to_obj(out), args.out)
     return 0
 

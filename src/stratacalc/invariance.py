@@ -5,13 +5,16 @@ exact rational class on the possibly disconnected genus-(g-1) ambient carrying
 two extra legs labelled i and j:
 
 * ``cut_edges`` - cut one edge into two new legs, label them i/j both ways,
-  and decorate an extra psi^level onto the i leg (coefficient 1/2) or onto the
-  j leg (coefficient (-1)^level / 2);
+  and decorate an extra psi^1 onto the i leg (coefficient 1/2) or onto the j
+  leg (coefficient -1/2);
 * ``reduce_genus`` - drop the genus of one vertex by one and attach legs i, j
-  to it with psi^(level-1-m) and psi^m, coefficient (1/2)(-1)^(m+1);
+  to it with psi^0, coefficient -1/2;
 * ``split_vertices`` - split one vertex into two, distributing genus, legs,
-  edge ends and kappa factors in all possible ways, leg i (psi^(level-1-m)) on
-  the first part and leg j (psi^m) on the second, coefficient (1/2)(-1)^(m+1).
+  edge ends and kappa factors in all possible ways, leg i on the first part
+  and leg j on the second, both with psi^0, coefficient -1/2.
+
+Every move keeps the degree (edges plus psi and kappa powers): a cut trades
+its edge for psi^1, and reduce and split add legs with psi^0.
 
 Each operation is a stream of raw candidates: ``(graph, sign)`` pairs with
 ``sign = +-1`` standing for the coefficient ``sign / 2``, neither
@@ -50,11 +53,9 @@ def _output_signature(genus: int, markings):
     return labels, AmbientSignature(genus - 1, frozenset(markings) | set(labels), 2)
 
 
-def _prepare(graph: DecoratedGraph, level: int):
+def _prepare(graph: DecoratedGraph):
     """Validate an input graph; its new leg labels and output ambient."""
     graph.require_valid()
-    if level < 1:
-        raise ValueError("level must be >= 1")
     # genus-0 inputs land on a genus -1 ambient, which can only hold the
     # zero class (the candidate streams of a genus-0 graph are empty)
     return _output_signature(arithmetic_genus(graph), graph.markings())
@@ -65,48 +66,33 @@ def _with_new_legs(legs, i_leg, j_leg):
     return tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
 
 
-def _levels(graph: DecoratedGraph, level: int, shapes):
-    """``(m, (-1)^(m+1))``, the sign of the coefficient over 2, for each m in
-    0..level-1 whose reduce and split moves are wanted: they keep every edge,
-    so their shape is (#edges, level-1-m, m)."""
-    return [(m, (-1) ** (m + 1)) for m in range(level)
-            if shapes is None or (graph.n_edges, level - 1 - m, m) in shapes]
-
-
-def _cut_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
+def _cut_candidates(graph: DecoratedGraph, labels):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    on_i, on_j = 1, (-1) ** level
-    # a cut keeps the other edges and adds level to the psi of one cut end
-    kept_edges = graph.n_edges - 1
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
-            for di, dj, sign in ((level, 0, on_i), (0, level, on_j)):
-                if shapes is not None and (kept_edges, ip + di, jp + dj) not in shapes:
-                    continue
+            # psi^1 onto the end that becomes leg i, or onto the one that becomes j
+            for di, dj, sign in ((1, 0, 1), (0, 1, -1)):
                 legs = _with_new_legs(graph.legs, (iv, i_lab, ip + di), (jv, j_lab, jp + dj))
                 yield DecoratedGraph._of(graph.genera, legs, rest, graph.kappa), sign
 
 
-def _reduce_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
+def _reduce_candidates(graph: DecoratedGraph, labels):
     if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
-    levels = _levels(graph, level, shapes)
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-        for m, sign in levels:
-            legs = _with_new_legs(graph.legs, (v, i_lab, level - 1 - m), (v, j_lab, m))
-            yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), sign
+        legs = _with_new_legs(graph.legs, (v, i_lab, 0), (v, j_lab, 0))
+        yield DecoratedGraph._of(genera, legs, graph.edges, graph.kappa), -1
 
 
-def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
-    levels = _levels(graph, level, shapes)
-    if arithmetic_genus(graph) < 1 or not levels:
+def _split_candidates(graph: DecoratedGraph, labels):
+    if arithmetic_genus(graph) < 1:
         return
     i_lab, j_lab = labels
     genera, kappa = graph.genera, graph.kappa
@@ -121,21 +107,20 @@ def _split_candidates(graph: DecoratedGraph, level: int, labels, shapes=None):
             for bit, k in enumerate(kappa[v]):
                 split[mask >> bit & 1].append(k)
             kappas.append(kappa[:v] + (tuple(split[0]),) + kappa[v + 1:] + (tuple(split[1]),))
-        for m, sign in levels:
-            i_leg, j_leg = (v, i_lab, level - 1 - m), (new_v, j_lab, m)
-            for g1 in range(h + 1):
-                parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
-                # each part also carries one new leg, i or j
-                stable = [(_with_new_legs(legs, i_leg, j_leg), edges)
-                          for stay, moved, legs, edges in moves
-                          if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
-                for split_kappa in kappas:
-                    for legs, edges in stable:
-                        yield DecoratedGraph._of(parts, legs, edges, split_kappa), sign
+        i_leg, j_leg = (v, i_lab, 0), (new_v, j_lab, 0)
+        for g1 in range(h + 1):
+            parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
+            # each part also carries one new leg, i or j
+            stable = [(_with_new_legs(legs, i_leg, j_leg), edges)
+                      for stay, moved, legs, edges in moves
+                      if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
+            for split_kappa in kappas:
+                for legs, edges in stable:
+                    yield DecoratedGraph._of(parts, legs, edges, split_kappa), -1
 
 
 def _target_key(graph: DecoratedGraph, labels):
-    """What a level-1 reduce or split of an edge-free one-vertex graph fixes
+    """What a reduce or split of an edge-free one-vertex graph fixes
     of its candidate ``graph``: ``(genus, kappa, legs)`` of the vertex with
     leg i, then of the vertex with leg j if that is the other one, with legs
     as ``(marking, psi)``.  Two keyed graphs are isomorphic exactly when their
@@ -152,15 +137,15 @@ def _target_key(graph: DecoratedGraph, labels):
                   tuple([(m, p) for w, m, p in graph.legs if w == v])) for v in order)
 
 
-def _targeted_candidates(graph: DecoratedGraph, level: int, labels, targets):
+def _targeted_candidates(graph: DecoratedGraph, labels, targets):
     """The candidates of ``graph`` whose ``_target_key`` is in ``targets``,
-    each move's parameters read off a key.  Only the level-1 reduce and split
-    moves of an edge-free one-vertex graph of genus >= 1 land on a key (a cut
-    puts psi^level on leg i or j), each with sign -1.  A one-vertex key is
+    each move's parameters read off a key.  Only the reduce and split moves
+    of an edge-free one-vertex graph of genus >= 1 land on a key (a cut puts
+    psi^1 on leg i or j), each with sign -1.  A one-vertex key is
     the reduce move.  In a two-vertex key, g1 and the legs of the i part fix
     the genus split and the leg mask, and each kappa mask whose i part sorts
     to the key's kappa is one split move."""
-    if graph.edges or graph.n_vertices > 1 or level != 1 or graph.genera[0] < 1:
+    if graph.edges or graph.n_vertices > 1 or graph.genera[0] < 1:
         return
     (h,), (kappa,) = graph.genera, graph.kappa
     # the legs of the candidates: the graph's, then the new legs i and j with psi^0
@@ -188,70 +173,66 @@ _PARTS = {"cut": _cut_candidates, "reduce": _reduce_candidates,
           "split": _split_candidates}
 
 
-def cut_edges(graph, level: int = 1) -> TautClass:
+def cut_edges(graph) -> TautClass:
     """Cut every edge in turn, in both i/j labellings, with an extra psi power.
 
-    Each edge contributes four raw terms: psi^level multiplied onto the i leg
-    with coefficient 1/2 and onto the j leg with coefficient (-1)^level / 2,
-    under both label assignments.  The extra power multiplies any psi
-    decoration already sitting on the cut half-edge.
+    Each edge contributes four raw terms: psi^1 multiplied onto the i leg with
+    coefficient 1/2 and onto the j leg with coefficient -1/2, under both label
+    assignments.  The extra power multiplies any psi decoration already
+    sitting on the cut half-edge.
     """
-    labels, ambient = _prepare(graph, level)
-    return TautClass._of(*_merged(ambient, _cut_candidates(graph, level, labels), 2))
+    labels, ambient = _prepare(graph)
+    return TautClass._of(*_merged(ambient, _cut_candidates(graph, labels), 2))
 
 
-def reduce_genus(graph, level: int = 1) -> TautClass:
-    """Lower the genus of each vertex by one, attaching decorated legs i and j.
-
-    For every vertex of genus >= 1 and every m in 0..level-1 the new legs
-    carry psi^(level-1-m) on i and psi^m on j, coefficient (1/2)(-1)^(m+1).
-    """
-    labels, ambient = _prepare(graph, level)
-    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, level, labels), 2))
+def reduce_genus(graph) -> TautClass:
+    """Lower the genus of each vertex by one, attaching legs i and j to it,
+    both with psi^0, coefficient -1/2."""
+    labels, ambient = _prepare(graph)
+    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, labels), 2))
 
 
-def split_vertices(graph, level: int = 1) -> TautClass:
+def split_vertices(graph) -> TautClass:
     """Split each vertex into an ordered pair of vertices, leg i on the first.
 
     All ordered genus splits (g1, g2) are enumerated, every leg and edge end
     of the split vertex goes independently to either part, and the kappa
     factors are distributed as if they were extra half-edges (equal indices
     count as distinguishable, so repeated factors create multiplicity before
-    canonical merging).  Coefficient (1/2)(-1)^(m+1) with psi^(level-1-m) on
-    leg i and psi^m on leg j, m in 0..level-1.
+    canonical merging).  Coefficient -1/2, with psi^0 on legs i and j.
     """
-    labels, ambient = _prepare(graph, level)
-    return TautClass._of(*_merged(ambient, _split_candidates(graph, level, labels), 2))
+    labels, ambient = _prepare(graph)
+    return TautClass._of(*_merged(ambient, _split_candidates(graph, labels), 2))
 
 
-def _reach(graph: DecoratedGraph, level: int) -> set:
+def _reach(graph: DecoratedGraph) -> set:
     """The shapes (edge count, psi on leg i, psi on leg j) that a move of
     ``graph`` can give, a superset of those its streams yield: reduce and split
-    keep every edge, and a cut of edge ``(v1, p1, v2, p2)`` keeps the psi of
-    its ends on legs i and j, either way round, with ``level`` added to one."""
+    keep every edge and put psi^0 on both legs, and a cut of edge
+    ``(v1, p1, v2, p2)`` keeps the psi of its ends on legs i and j, either way
+    round, with 1 added to one."""
     e = graph.n_edges
-    shapes = {(e, level - 1 - m, m) for m in range(level)}
+    shapes = {(e, 0, 0)}
     for _, p1, _, p2 in graph.edges:
         for pi, pj in ((p1, p2), (p2, p1)):
-            shapes.add((e - 1, pi + level, pj))
-            shapes.add((e - 1, pi, pj + level))
+            shapes.add((e - 1, pi + 1, pj))
+            shapes.add((e - 1, pi, pj + 1))
     return shapes
 
 
-def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None,
-                         targets=None):
+def _candidates_of_valid(graph, labels, shapes=None, ambient=None, targets=None):
     """The candidates of cut, reduce and split, in that order, of a graph
     already known to be valid, such as a boundary generator.
 
-    With ``shapes``, only the moves whose candidates have a shape (edge count,
-    psi on leg i, psi on leg j) in ``shapes`` are built, the shape read off the
-    move, and a graph none of whose moves reaches ``shapes`` (``_reach``)
-    builds nothing.  With ``targets``, a set of ``_target_key``s of valid
-    graphs, only the moves whose candidate's key is in it are built, and
-    ``shapes`` is not read.  With ``ambient``, every candidate, built or not,
-    is checked against it before the first is yielded; below its component
-    bound one check of the graph's own signature stands for all of them.
-    Otherwise checks are left to the consumer.
+    With ``shapes``, a set of shapes (edge count, psi on leg i, psi on leg j),
+    a graph none of whose moves can reach one (``_reach``) builds nothing;
+    any other graph yields its full streams.  With ``targets``, a set of
+    ``_target_key``s of valid graphs, only the moves whose candidate's key is
+    in it are built, and ``shapes`` is not read.  With ``ambient``, every
+    candidate, built or not, is checked against it before the first is
+    yielded; below its component bound one check of the graph's own
+    signature stands for all of them.  Otherwise checks are left to the
+    consumer.
     """
     if ambient is not None:
         if component_count(graph) < ambient.max_components:
@@ -263,40 +244,33 @@ def _candidates_of_valid(graph, level, labels, shapes=None, ambient=None,
                 ambient._check_genus_and_markings(pa - 1, (*graph.markings(), *labels))
         else:
             for stream in _PARTS.values():
-                for cand, _ in stream(graph, level, labels):
+                for cand, _ in stream(graph, labels):
                     ambient.check(cand)
     if targets is not None:
-        yield from _targeted_candidates(graph, level, labels, targets)
+        yield from _targeted_candidates(graph, labels, targets)
         return
-    if shapes is not None and _reach(graph, level).isdisjoint(shapes):
+    if shapes is not None and _reach(graph).isdisjoint(shapes):
         return
     for stream in _PARTS.values():
-        yield from stream(graph, level, labels, shapes)
+        yield from stream(graph, labels)
 
 
-def _collect(x: TautClass, streams, level: int) -> TautClass:
+def _collect(x: TautClass, streams) -> TautClass:
     """One class holding every candidate of every term of ``x`` in ``streams``."""
     if x.ambient.max_components != 1:
         raise SignatureError("the genus-lowering operator expects a connected ambient")
-    if level < 1:
-        raise ValueError("level must be >= 1")
     labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
     # signs over 2 times x's numerators lie over 2 * x._den; the candidates of
     # a valid term on a connected ambient are valid and lie on out
     pairs = ((cand, num * sign) for form, num in x._terms.items() for stream in streams
-             for cand, sign in stream(x._graphs[form], level, labels))
+             for cand, sign in stream(x._graphs[form], labels))
     return TautClass._of(*_merged(out, pairs, 2 * x._den, check=False))
 
 
-def invariance_operator(x: TautClass, level: int = 1,
-                        experimental: bool = False) -> TautClass:
+def invariance_operator(x: TautClass) -> TautClass:
     """The genus-lowering linear operator: cut + reduce + split, extended linearly.
 
-    Maps a class on a connected (g, n) ambient to a class on the at most
-    2-component (g-1, n+2) ambient.  Only level 1 preserves the grading;
-    higher levels are implemented as written but gated behind
-    ``experimental=True``.
+    Maps a class on a connected (g, n) ambient to a class of the same degree
+    on the at most 2-component (g-1, n+2) ambient.
     """
-    if level > 1 and not experimental:
-        raise ValueError("level >= 2 is experimental; pass experimental=True")
-    return _collect(x, tuple(_PARTS.values()), level)
+    return _collect(x, tuple(_PARTS.values()))

@@ -7,11 +7,11 @@ For each degree-k generator monomial the verifier either
   generator), reads the witness coefficient off the operator image of every
   generator and every degree-k decorated boundary graph, each image built once:
   a generator's from only the moves that land on a witness, matched by the key
-  a move fixes (``invariance._target_key``), a boundary graph's from the terms
-  of witness or bare shape only, and nothing at all when none of its moves
-  reaches such a shape (none does for edge-free witnesses with psi^0 on the
-  new legs); and checks the self-coefficient is nonzero while all others
-  vanish ("witness-split"); or
+  a move fixes (``invariance._target_key``), a boundary graph's whole when
+  one of its moves can reach a witness or bare shape and read at those terms
+  only, and nothing at all otherwise (none can for edge-free witnesses with
+  psi^0 on the new legs); and checks the self-coefficient is nonzero while
+  all others vanish ("witness-split"); or
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
@@ -492,7 +492,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                   for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
     for r, G in enumerate(gen_graphs + bgraphs):
         boundary = r >= len(gens)
-        image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out_amb,
+        image = _candidates_of_valid(G, (i_lab, j_lab), shapes, out_amb,
                                      None if boundary else targets)
         first = next(image, None)   # the ambient check; most boundary images are empty
         if first is None:

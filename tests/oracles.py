@@ -372,7 +372,7 @@ def targeted_image_reference(graph: DecoratedGraph, ambient: AmbientSignature,
     """
     def kept():
         for stream in _PARTS.values():
-            for cand, sign in stream(graph, 1, (i_lab, j_lab)):
+            for cand, sign in stream(graph, (i_lab, j_lab)):
                 ambient.check(cand)
                 if _shape(cand, i_lab, j_lab) in shapes:
                     yield cand, Fraction(sign, 2)
@@ -478,33 +478,31 @@ def witness_assumptions_reference(mono: InteriorMonomial, g: int, n: int):
 
 # ------------------------------------------------- operator candidate streams
 
-def cut_candidates_reference(graph: DecoratedGraph, level: int, labels):
+def cut_candidates_reference(graph: DecoratedGraph, labels):
     i_lab, j_lab = labels
-    on_j = Fraction((-1) ** level, 2)
     for idx, (v1, p1, v2, p2) in enumerate(graph.edges):
         rest = graph.edges[:idx] + graph.edges[idx + 1:]
         for (iv, ip), (jv, jp) in (((v1, p1), (v2, p2)), ((v2, p2), (v1, p1))):
-            for di, dj, coeff in ((level, 0, Fraction(1, 2)), (0, level, on_j)):
+            for di, dj, coeff in ((1, 0, Fraction(1, 2)), (0, 1, Fraction(-1, 2))):
                 legs = graph.legs + ((iv, i_lab, ip + di), (jv, j_lab, jp + dj))
                 cand = DecoratedGraph(graph.genera, legs, rest, graph.kappa)
                 if not cand.validate():
                     yield cand, coeff
 
 
-def reduce_candidates_reference(graph: DecoratedGraph, level: int, labels):
+def reduce_candidates_reference(graph: DecoratedGraph, labels):
     i_lab, j_lab = labels
     for v in range(graph.n_vertices):
         if graph.genera[v] < 1:
             continue
         genera = graph.genera[:v] + (graph.genera[v] - 1,) + graph.genera[v + 1:]
-        for m in range(level):
-            legs = graph.legs + ((v, i_lab, level - 1 - m), (v, j_lab, m))
-            cand = DecoratedGraph(genera, legs, graph.edges, graph.kappa)
-            if not cand.validate():
-                yield cand, Fraction((-1) ** (m + 1), 2)
+        legs = graph.legs + ((v, i_lab, 0), (v, j_lab, 0))
+        cand = DecoratedGraph(genera, legs, graph.edges, graph.kappa)
+        if not cand.validate():
+            yield cand, Fraction(-1, 2)
 
 
-def split_candidates_reference(graph: DecoratedGraph, level: int, labels):
+def split_candidates_reference(graph: DecoratedGraph, labels):
     i_lab, j_lab = labels
     new_v = graph.n_vertices
     for v in range(graph.n_vertices):
@@ -515,38 +513,36 @@ def split_candidates_reference(graph: DecoratedGraph, level: int, labels):
                      for side, vv in ((0, e1), (1, e2)) if vv == v]
         kappas = graph.kappa[v]
         n_items = len(leg_slots) + len(end_slots) + len(kappas)
-        for m in range(level):
-            coeff = Fraction((-1) ** (m + 1), 2)
-            for g1 in range(h + 1):
-                genera = (graph.genera[:v] + (g1,) + graph.genera[v + 1:]
-                          + (h - g1,))
-                for mask in range(1 << n_items):
-                    legs = [list(t) for t in graph.legs]
-                    edges = [list(t) for t in graph.edges]
-                    for bit, idx in enumerate(leg_slots):
-                        if mask >> bit & 1:
-                            legs[idx][0] = new_v
-                    off = len(leg_slots)
-                    for bit, (idx, side) in enumerate(end_slots):
-                        if mask >> (off + bit) & 1:
-                            edges[idx][0 if side == 0 else 2] = new_v
-                    off += len(end_slots)
-                    keep, move = [], []
-                    for bit, k in enumerate(kappas):
-                        (move if mask >> (off + bit) & 1 else keep).append(k)
-                    kappa = (graph.kappa[:v] + (tuple(keep),) + graph.kappa[v + 1:]
-                             + (tuple(move),))
-                    legs.append([v, i_lab, level - 1 - m])
-                    legs.append([new_v, j_lab, m])
-                    cand = DecoratedGraph(genera,
-                                          tuple(tuple(t) for t in legs),
-                                          tuple(tuple(t) for t in edges),
-                                          kappa)
-                    if not cand.validate():
-                        yield cand, coeff
+        for g1 in range(h + 1):
+            genera = (graph.genera[:v] + (g1,) + graph.genera[v + 1:]
+                      + (h - g1,))
+            for mask in range(1 << n_items):
+                legs = [list(t) for t in graph.legs]
+                edges = [list(t) for t in graph.edges]
+                for bit, idx in enumerate(leg_slots):
+                    if mask >> bit & 1:
+                        legs[idx][0] = new_v
+                off = len(leg_slots)
+                for bit, (idx, side) in enumerate(end_slots):
+                    if mask >> (off + bit) & 1:
+                        edges[idx][0 if side == 0 else 2] = new_v
+                off += len(end_slots)
+                keep, move = [], []
+                for bit, k in enumerate(kappas):
+                    (move if mask >> (off + bit) & 1 else keep).append(k)
+                kappa = (graph.kappa[:v] + (tuple(keep),) + graph.kappa[v + 1:]
+                         + (tuple(move),))
+                legs.append([v, i_lab, 0])
+                legs.append([new_v, j_lab, 0])
+                cand = DecoratedGraph(genera,
+                                      tuple(tuple(t) for t in legs),
+                                      tuple(tuple(t) for t in edges),
+                                      kappa)
+                if not cand.validate():
+                    yield cand, Fraction(-1, 2)
 
 
-def operator_reference(x: TautClass, parts=tuple(_PARTS), level: int = 1) -> TautClass:
+def operator_reference(x: TautClass, parts=tuple(_PARTS)) -> TautClass:
     """The named parts of the operator image of ``x``: one ``TautClass`` of
     every candidate of every term, its coefficient ``coeff * c / 2``."""
     if x.ambient.max_components != 1:
@@ -555,7 +551,7 @@ def operator_reference(x: TautClass, parts=tuple(_PARTS), level: int = 1) -> Tau
     return TautClass(out, ((cand, coeff * Fraction(c, 2))
                            for _, graph, coeff in x.items()
                            for name in parts
-                           for cand, c in _PARTS[name](graph, level, labels)))
+                           for cand, c in _PARTS[name](graph, labels)))
 
 
 # ------------------------------------------------------- interior expansions

@@ -146,22 +146,17 @@ def test_r1_guard_refusal_names_the_graph(tmp_path, capsys):
         f"vertex orders, over the 1000000 allowed, for {star!r}\n"))
 
 
-def test_r1_level2_needs_experimental(tmp_path):
-    src = FIXTURES / "fundamental_class_genus2.json"
-    assert run("r1", "--in", src, "--level", 2,
-               "--out", tmp_path / "x.json") == 2
-    assert run("r1", "--in", src, "--level", 2, "--experimental",
-               "--out", tmp_path / "y.json") == 0
-
-
-@pytest.mark.parametrize("flags", [(), ("--experimental",)])
-@pytest.mark.parametrize("level", [0, -1])
-def test_r1_level_below_1_exits_2(tmp_path, capsys, level, flags):
-    """A level below 1 is refused as such, not as an experimental level."""
+@pytest.mark.parametrize("flags", [("--level", "1"), ("--level", "2"), ("--experimental",)])
+def test_r1_refuses_the_retired_level_flags(tmp_path, capsys, flags):
+    """``r1`` applies the one operator, at level 1; the flags that chose a
+    level are gone, and argparse refuses them as usage errors before any
+    file is read or written."""
     out = tmp_path / "x.json"
     assert run("r1", "--in", FIXTURES / "fundamental_class_genus2.json",
-               "--level", level, *flags, "--out", out) == 2
-    assert capsys.readouterr().err == "error: level must be >= 1\n"
+               *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err
     assert not out.exists()
 
 

@@ -34,6 +34,7 @@ from stratacalc.invariance import (
     _collect,
     _cut_candidates,
     _output_signature,
+    _reach,
     _reduce_candidates,
     _split_candidates,
 )
@@ -53,9 +54,9 @@ def cls(ambient, *terms):
     return TautClass(ambient, terms)
 
 
-def parts(x, level=1):
+def parts(x):
     """The cut, reduce and split parts of the operator image of ``x``."""
-    return {name: _collect(x, (stream,), level) for name, stream in _PARTS.items()}
+    return {name: _collect(x, (stream,)) for name, stream in _PARTS.items()}
 
 
 # -------------------------------------------------------------------- cutting
@@ -209,17 +210,16 @@ def test_operator_equals_sum_of_parts_multi_term():
     ]
     x = TautClass(amb, terms)
     assert len(x) == len(terms)
-    for level in (1, 2):
-        by_name = parts(x, level)
-        for name, op in (("cut", cut_edges), ("reduce", reduce_genus),
-                         ("split", split_vertices)):
-            termwise = TautClass(by_name[name].ambient)
-            for _, graph, coeff in x.items():
-                termwise = termwise + coeff * op(graph, level)
-            assert by_name[name] == termwise, name
-        total = by_name["cut"] + by_name["reduce"] + by_name["split"]
-        assert not total.is_zero
-        assert total == invariance_operator(x, level, experimental=True)
+    by_name = parts(x)
+    for name, op in (("cut", cut_edges), ("reduce", reduce_genus),
+                     ("split", split_vertices)):
+        termwise = TautClass(by_name[name].ambient)
+        for _, graph, coeff in x.items():
+            termwise = termwise + coeff * op(graph)
+        assert by_name[name] == termwise, name
+    total = by_name["cut"] + by_name["reduce"] + by_name["split"]
+    assert not total.is_zero
+    assert total == invariance_operator(x)
 
 
 #: Denominators with many distinct prime factors between them.
@@ -234,14 +234,14 @@ def _seeded(rng, ambient, graphs):
                                for graph in graphs])
 
 
-def _operator_sum_inputs(level):
+def _operator_sum_inputs():
     """``(x, form)``: seeded classes whose denominators have an lcm of at least
     10^6, with ``form`` None; where the images of two of their graphs a and b
     share a form (cut terms of graphs with psi on an edge can), b's
     coefficient of it times a minus a's times b, and that form, which
     cancels; a class on a genus-0 ambient, whose image cancels to the zero
     class; and the zero class."""
-    rng = random.Random(f"integer-sums/{level}")
+    rng = random.Random("integer-sums/1")
     for g, n, k in ((3, 1, 2), (3, 2, 2), (6, 0, 2), (3, 0, 3), (2, 1, 3)):
         ambient = AmbientSignature(g, frozenset(range(1, n + 1)))
         marks = range(1, n + 1)
@@ -251,7 +251,7 @@ def _operator_sum_inputs(level):
         assert lcm(*(c.denominator for _, _, c in x.items())) >= 10 ** 6
         yield x, None
         images = [{form: c for form, _, c in
-                   operator_reference(TautClass(ambient, [(G, 1)]), level=level).items()}
+                   operator_reference(TautClass(ambient, [(G, 1)])).items()}
                   for G in graphs]
         pair = next(((a, b) for a, b in itertools.combinations(range(len(graphs)), 2)
                      if images[a].keys() & images[b].keys()), None)
@@ -265,47 +265,24 @@ def _operator_sum_inputs(level):
     yield TautClass(AmbientSignature(4, frozenset({1}))), None
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_integer_sums_match_fraction_reference(level):
+def test_integer_sums_match_fraction_reference():
     """The operator sums integer numerators over one denominator; the
     reference multiplies and adds every raw term as a Fraction.  Both give the
     same terms, representatives and coefficients, whole and part by part."""
     cancelled = 0
-    for x, form in _operator_sum_inputs(level):
-        want = operator_reference(x, level=level)
-        got = invariance_operator(x, level, experimental=True)
+    for x, form in _operator_sum_inputs():
+        want = operator_reference(x)
+        got = invariance_operator(x)
         assert list(got.items()) == list(want.items())
         assert all(type(c) is Fraction for _, _, c in got.items())
-        for name, part in parts(x, level).items():
-            assert list(part.items()) == list(operator_reference(x, (name,), level).items())
+        for name, part in parts(x).items():
+            assert list(part.items()) == list(operator_reference(x, (name,)).items())
         if form is not None:
             assert form not in {f for f, _, _ in got.items()} and not got.is_zero
             cancelled += 1
         elif x.ambient.genus == 0 or x.is_zero:
             assert got.is_zero
     assert cancelled >= 2
-
-
-def test_experimental_gate():
-    x = monomial_class(3, 0)
-    with pytest.raises(ValueError, match="experimental"):
-        invariance_operator(x, level=2)
-    out = invariance_operator(x, level=2, experimental=True)
-    assert not out.is_zero
-    # a level below 1 is refused as such, with or without the flag
-    for level in (0, -1):
-        for experimental in (False, True):
-            with pytest.raises(ValueError, match=r"^level must be >= 1$"):
-                invariance_operator(x, level=level, experimental=experimental)
-
-
-def test_cut_level2_coefficients():
-    bridge = DecoratedGraph((1, 1), (), ((0, 0, 1, 0),))
-    out = cut_edges(bridge, level=2)   # (-1)^2/2 = +1/2 on the j side
-    deep = disjoint_union(single_vertex(1, [(1, 2)]), single_vertex(1, [(2, 0)]))
-    other = disjoint_union(single_vertex(1, [(1, 0)]), single_vertex(1, [(2, 2)]))
-    assert out.coefficient_of(deep) == 1
-    assert out.coefficient_of(other) == 1
 
 
 # ----------------------------------------------------------- invariant suite
@@ -387,27 +364,26 @@ def _decorated(graph):
 
 
 def _stream_inputs():
-    """``(graph, level, labels)``: every stable graph with g, n <= 3 and up to 3
-    edges at level 1 with fresh labels and at level 2 with explicit ones, its
-    decorated copy at level 1, genus-0 graphs with edges, and random graphs,
-    disconnected ones included."""
+    """``(graph, labels)``: every stable graph with g, n <= 3 and up to 3 edges
+    with fresh labels and with explicit ones (j < i), its decorated copy,
+    genus-0 graphs with edges, and random graphs, disconnected ones included."""
     for g in range(4):
         for n in range(4):
             fresh, _ = _output_signature(g, range(1, n + 1))
             for graph in enumerate_stable_graphs(g, n, 3, min_edges=0):
-                yield graph, 1, fresh
-                yield graph, 2, (fresh[1] + 3, fresh[0])
-                yield _decorated(graph), 1, fresh
+                yield graph, fresh
+                yield graph, (fresh[1] + 3, fresh[0])
+                yield _decorated(graph), fresh
     # arithmetic genus 0, with edges, connected or not: every stream is empty
     for graph in enumerate_stable_graphs(0, 5, 2, min_edges=0):
-        yield graph, 1, (6, 7)
+        yield graph, (6, 7)
     tree = DecoratedGraph((0, 0), ((0, 2, 0), (0, 3, 0), (1, 4, 0), (1, 5, 0)),
                           ((0, 0, 1, 0),))
-    yield disjoint_union(single_vertex(1, [1], (1,)), tree), 2, (6, 7)
+    yield disjoint_union(single_vertex(1, [1], (1,)), tree), (6, 7)
     rng = random.Random(20261018)
     for _ in range(60):
         graph = random_decorated_graph(rng, genus_range=(0, 3), connected=False)
-        yield graph, 2, _output_signature(arithmetic_genus(graph), graph.markings())[0]
+        yield graph, _output_signature(arithmetic_genus(graph), graph.markings())[0]
 
 
 def test_candidate_streams_match_validated_reference():
@@ -421,13 +397,13 @@ def test_candidate_streams_match_validated_reference():
                (_reduce_candidates, reduce_candidates_reference),
                (_split_candidates, split_candidates_reference))
     total = checked = 0
-    for graph, level, labels in _stream_inputs():
+    for graph, labels in _stream_inputs():
         out = AmbientSignature(arithmetic_genus(graph) - 1,
                                frozenset(graph.markings()) | set(labels), 2)
         for fast, reference in streams:
-            got = list(fast(graph, level, labels))
+            got = list(fast(graph, labels))
             assert ([(cand, Fraction(sign, 2)) for cand, sign in got]
-                    == list(reference(graph, level, labels))), (graph, level, labels)
+                    == list(reference(graph, labels))), (graph, labels)
             if arithmetic_genus(graph) == 0:
                 assert got == []
             if component_count(graph) == 1:
@@ -435,7 +411,7 @@ def test_candidate_streams_match_validated_reference():
                     out.check(cand)
                     checked += 1
             total += len(got)
-    assert total > 100_000 and checked > 50_000
+    assert total > 90_000 and checked > 50_000
 
 
 def test_candidates_are_built_in_normal_form():
@@ -445,56 +421,47 @@ def test_candidates_are_built_in_normal_form():
     must be sorted in, not appended."""
     streams = (_cut_candidates, _reduce_candidates, _split_candidates)
     total = 0
-    for graph, level, labels in _stream_inputs():
+    for graph, labels in _stream_inputs():
         for stream in streams:
             for labs in (labels, (6, 2)):
-                for cand, _ in stream(graph, level, labs):
-                    assert_normal_form(cand, (graph, level, labs))
+                for cand, _ in stream(graph, labs):
+                    assert_normal_form(cand, (graph, labs))
                     total += 1
-    assert total > 200_000
+    assert total > 180_000
 
 
-def test_shape_filtered_streams_match_filtered_full_streams():
-    """Deciding a move by its shape before building it keeps exactly the
-    candidates of the full stream whose shape is wanted, in stream order, and
-    so does skipping a graph none of whose moves can reach the shapes."""
-    streams = (_cut_candidates, _reduce_candidates, _split_candidates)
-    kept = Counter()
-    for graph, level, labels in _stream_inputs():
+def test_each_row_has_one_shape_gate():
+    """Every candidate's shape (edge count, psi on leg i, psi on leg j) lies in
+    ``_reach`` of its graph.  So a graph whose reach misses ``shapes`` builds
+    nothing, and any other yields its full cut, reduce and split streams, in
+    order: the image read at the wanted shapes is the same either way."""
+    gated, passed = Counter(), Counter()
+    for graph, labels in _stream_inputs():
+        reach = _reach(graph)
+        full = []
+        for stream in (_cut_candidates, _reduce_candidates, _split_candidates):
+            for cand, sign in stream(graph, labels):
+                assert _shape(cand, *labels) in reach, (graph, labels, cand)
+                full.append((cand, sign))
+        assert list(_candidates_of_valid(graph, labels)) == full
         e = graph.n_edges
-        every = []   # (candidate, shape) of the three streams, in order
-        for stream in streams:
-            full = list(stream(graph, level, labels))
-            assert list(stream(graph, level, labels, None)) == full
-            shape_of = [_shape(cand, *labels) for cand, _ in full]
-            every += zip(full, shape_of)
-            # the bare shape, a one-edge shape, the psi^1 shapes of a cut, all
-            # shapes, and psi on leg i only at level 2
-            for idx, shapes in enumerate(({_BARE}, {(1, 0, 0)},
-                                          {(e - 1, 1, 0), (e - 1, 0, 1)},
-                                          set(shape_of), {(e, 1, 0)})):
-                want = [item for item, shape in zip(full, shape_of) if shape in shapes]
-                got = list(stream(graph, level, labels, shapes))
-                assert got == want, (graph, level, labels, shapes)
-                kept[stream.__name__, idx] += len(got)
-        # the same sets, and cut shapes that at level 1 only an edge with psi
-        # on an end reaches: the decorated copies carry psi^2 on one
+        # the bare shape, a one-edge shape, the psi^1 shapes of a cut, cut
+        # shapes that only an edge with psi on an end reaches (the decorated
+        # copies carry psi^2 on one), and the graph's own reach
         for idx, shapes in enumerate(({_BARE}, {(1, 0, 0)}, {(e - 1, 1, 0), (e - 1, 0, 1)},
-                                      {(e, 1, 0)}, {(e - 1, 2, 0)}, {(e - 1, 0, 3)},
-                                      {(e - 1, 1, 2)})):
-            want = [item for item, shape in every if shape in shapes]
-            got = list(_candidates_of_valid(graph, level, labels, shapes))
-            assert got == want, (graph, level, labels, shapes)
-            kept["all", idx] += len(got)
-    # a cut always puts psi^level on a new leg, so it is never bare; the
-    # other sets keep candidates of every stream that can have their shape
-    assert kept["_cut_candidates", 0] == 0 and kept["_cut_candidates", 1] == 0
-    assert all(kept[name, 0] and kept[name, 1]
-               for name in ("_reduce_candidates", "_split_candidates"))
-    assert kept["_cut_candidates", 2] > 0
-    assert kept["_reduce_candidates", 4] and kept["_split_candidates", 4]
-    assert sum(kept[stream.__name__, 3] for stream in streams) > 100_000
-    assert all(kept["all", idx] for idx in range(7)), kept
+                                      {(e - 1, 2, 0)}, {(e - 1, 0, 3)}, {(e - 1, 1, 2)},
+                                      reach)):
+            got = list(_candidates_of_valid(graph, labels, shapes))
+            if reach.isdisjoint(shapes):
+                assert got == [], (graph, labels, shapes)
+                gated[idx] += bool(full)
+            else:
+                assert got == full, (graph, labels, shapes)
+                passed[idx] += bool(full)
+    # each set lets some rows with candidates through, and all but the
+    # graph's own reach stop some
+    assert all(passed[idx] for idx in range(7)), passed
+    assert all(gated[idx] for idx in range(6)) and not gated[6], gated
 
 
 def _first_signature_error(candidates, ambient):
@@ -511,8 +478,8 @@ def _signature_inputs():
     # two components already: a cut of the bridge, or any split of an
     # edge-free vertex, makes a third
     bridge = DecoratedGraph((1, 1), (), ((0, 0, 1, 0),))
-    yield disjoint_union(single_vertex(1, [1]), bridge), 1, (2, 3)
-    yield disjoint_union(single_vertex(2, [1, 2]), single_vertex(1, [3])), 1, (4, 5)
+    yield disjoint_union(single_vertex(1, [1]), bridge), (2, 3)
+    yield disjoint_union(single_vertex(2, [1, 2]), single_vertex(1, [3])), (4, 5)
 
 
 def test_move_level_signature_check_matches_candidate_checks():
@@ -520,8 +487,8 @@ def test_move_level_signature_check_matches_candidate_checks():
     candidate of the full stream fails ``AmbientSignature.check``, with the
     message of the first failing one, whether or not a move is built."""
     raised = Counter()
-    for graph, level, labels in _signature_inputs():
-        full = list(_candidates_of_valid(graph, level, labels))
+    for graph, labels in _signature_inputs():
+        full = list(_candidates_of_valid(graph, labels))
         pa = arithmetic_genus(graph)
         markings = frozenset(graph.markings()) | set(labels)
         ambients = [AmbientSignature(pa - 1, markings, 1),
@@ -532,11 +499,11 @@ def test_move_level_signature_check_matches_candidate_checks():
             want = _first_signature_error(full, ambient)
             for shapes in (frozenset(), None):
                 try:
-                    list(_candidates_of_valid(graph, level, labels, shapes, ambient))
+                    list(_candidates_of_valid(graph, labels, shapes, ambient))
                     got = None
                 except SignatureError as exc:
                     got = str(exc)
-                assert got == want, (graph, level, labels, ambient, shapes)
+                assert got == want, (graph, labels, ambient, shapes)
             if want is not None:
                 raised[want.split()[1 if "markings" in want else 2]] += 1
     # each check fails somewhere: genus, markings, 2 and 3 components

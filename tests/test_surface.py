@@ -1,5 +1,6 @@
 """The public surface: README's contract, and the names the benchmark binds."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import stratacalc
+from stratacalc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -40,6 +42,25 @@ def test_readme_names_the_public_api():
     assert listed == stratacalc.__all__
     for name in stratacalc.__all__:
         assert hasattr(stratacalc, name), name
+
+
+def test_readme_synopsis_matches_the_parser():
+    """For each subcommand, the ``--flags`` of README's ``## Commands``
+    synopsis are the options of ``cli.build_parser()``, ``-h`` aside; a
+    synopsis line indented under another continues it."""
+    block = README.split("## Commands", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("stratacalc "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(
+            re.findall(r"--[\w-]+", line.split("#", 1)[0]))
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {opt for action in parser._actions for opt in action.option_strings
+                     if opt not in ("-h", "--help")}
+              for name, parser in sub.choices.items()}
+    assert documented == parsed
 
 
 def _resolves(module: str, name: str) -> bool:

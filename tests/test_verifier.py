@@ -29,7 +29,7 @@ from stratacalc import (
     witness_graph_for,
 )
 from stratacalc import graphs, pushforward, verifier
-from stratacalc.invariance import _candidates_of_valid
+from stratacalc.invariance import _candidates_of_valid, _reach
 
 from oracles import (
     boundary_generators_reference,
@@ -515,8 +515,9 @@ def test_targeted_extraction_matches_full_image_with_overrides(witness):
 
 @pytest.mark.parametrize("g,n,k", [(6, 0, 1), (6, 2, 2), (6, 3, 1), (9, 0, 2)])
 def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
-    """Boundary images built from the shape-filtered, move-checked stream equal
-    those that build and check every candidate, on witness, one-edge and
+    """Boundary images built from the shape-gated, move-checked stream and
+    restricted to the wanted shapes after merging equal those that build and
+    check every candidate and keep the wanted shapes, on witness, one-edge and
     psi^1 shapes, and on shapes only a cut of an edge with end psi (in either
     orientation), a two-edge cut or a reduce or split of a two-edge graph
     reaches; a row that cannot reach the shapes builds nothing."""
@@ -531,8 +532,12 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
     terms = Counter()
     for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}, *hard):
         for G in boundary_generators(g, n, k):
-            image = _candidates_of_valid(G, 1, (i_lab, j_lab), shapes, out)
-            got = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in image))
+            image = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in
+                                    _candidates_of_valid(G, (i_lab, j_lab), shapes, out)))
+            if _reach(G).isdisjoint(shapes):
+                assert image.is_zero
+            got = TautClass(out, [(graph, c) for _, graph, c in image.items()
+                                  if verifier._shape(graph, i_lab, j_lab) in shapes])
             assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
             terms[frozenset(shapes)] += len(got)
     assert sum(terms.values()) > 0
@@ -628,7 +633,7 @@ def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
         monkeypatch, stray, message):
     # the row's moves all keep an edge or put psi on leg i or j, so none
     # reaches a witness or a bare term, yet its signature is still checked
-    assert not list(_candidates_of_valid(stray, 1, (1, 2), {verifier._BARE}))
+    assert not list(_candidates_of_valid(stray, (1, 2), {verifier._BARE}))
     real = verifier.boundary_generators
     monkeypatch.setattr(verifier, "boundary_generators",
                         lambda g, n, k: real(g, n, k) + [stray])
