@@ -55,17 +55,9 @@ class AmbientSignature(namedtuple("AmbientSignature", "genus markings max_compon
 
     def check(self, graph: DecoratedGraph) -> None:
         """Raise ``SignatureError`` unless the valid ``graph`` lies on this ambient:
-        its arithmetic genus, marking set and component count must fit."""
-        self._check_genus_and_markings(arithmetic_genus(graph), graph.markings())
-        if component_count(graph) > self.max_components:
-            raise SignatureError(
-                f"graph has {component_count(graph)} components, ambient allows "
-                f"at most {self.max_components}")
-
-    def _check_genus_and_markings(self, pa: int, markings) -> None:
-        """The genus and marking part of ``check``, for a graph of arithmetic
-        genus ``pa`` whose legs carry ``markings``, in any order: each ambient
-        marking exactly once."""
+        its arithmetic genus, marking set and component count must fit, and
+        its legs must carry each ambient marking exactly once."""
+        pa, markings = arithmetic_genus(graph), graph.markings()
         if pa != self.genus:
             raise SignatureError(
                 f"graph has arithmetic genus {pa}, ambient requires {self.genus}")
@@ -73,6 +65,10 @@ class AmbientSignature(namedtuple("AmbientSignature", "genus markings max_compon
             raise SignatureError(
                 f"graph markings {tuple(sorted(markings))} differ from ambient "
                 f"{self.marking_tuple()}")
+        if component_count(graph) > self.max_components:
+            raise SignatureError(
+                f"graph has {component_count(graph)} components, ambient allows "
+                f"at most {self.max_components}")
 
 
 def _summed(den: int, *pairs) -> tuple[dict, int]:

@@ -69,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--witness-table", default=None,
                    help="JSON file overriding witness graphs per monomial "
                         "(diagnostic / fault-injection hook)")
+    for parser in sub.choices.values():
+        parser.set_defaults(parser=parser)   # leftover arguments get its usage
     return p
 
 
@@ -80,6 +82,7 @@ def _emit(obj, path) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    _check_writable(args.out)
     graphs = enumerate_stable_graphs(args.g, args.n, args.max_edges,
                                      min_edges=args.min_edges)
     _emit({
@@ -95,13 +98,14 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_r1(args) -> int:
     cls = class_from_obj(load_file(args.infile))
-    out = invariance_operator(cls)
-    _emit(class_to_obj(out), args.out)
+    _check_writable(args.out)
+    _emit(class_to_obj(invariance_operator(cls)), args.out)
     return 0
 
 
 def _cmd_push(args) -> int:
     cls = interior_from_obj(load_file(args.infile))
+    _check_writable(args.out)
     _emit(interior_to_obj(forget_pushforward(cls, args.forget)), args.out)
     return 0
 
@@ -128,7 +132,9 @@ def _load_witness_table(path):
 def _check_writable(path) -> None:
     """Raise now the ``OSError`` that writing ``path`` later would: open it to
     append, which keeps an existing file's bytes, and remove it again if the
-    open made it."""
+    open made it.  No path (stdout) needs no check."""
+    if not path:
+        return
     existed = os.path.lexists(path)
     open(path, "a").close()
     if not existed:
@@ -139,8 +145,7 @@ def _cmd_verify(args) -> int:
     overrides = None
     if args.witness_table:
         overrides = _load_witness_table(args.witness_table)
-    if args.report:
-        _check_writable(args.report)
+    _check_writable(args.report)
     report = verify_witness_independence(args.g, args.n, args.k,
                                          recursive=args.recursive,
                                          witness_overrides=overrides)
@@ -165,7 +170,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

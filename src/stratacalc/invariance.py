@@ -20,9 +20,11 @@ Each operation is a stream of raw candidates: ``(graph, sign)`` pairs with
 ``sign = +-1`` standing for the coefficient ``sign / 2``, neither
 canonicalized nor merged, whose graphs are valid and in normal form by
 construction.  Every candidate of a valid input has the input's arithmetic
-genus minus one, so a genus-0 input yields no candidate at all; cut and
-reduce keep every vertex stable, and a split whose part would be unstable is
-skipped before its graph is built.  Every image is built by the one merge,
+genus minus one, its markings plus i and j, and at most one more component
+(the signature rule), so a genus-0 input yields no candidate at all, and
+checking a connected input checks every candidate; cut and reduce keep every
+vertex stable, and a split whose part would be unstable is skipped before
+its graph is built.  Every image is built by the one merge,
 ``classes._merged``, over the denominator 2 for one graph and ``2 * den`` for
 a class over ``den``; isomorphic candidates go to the canonical-form search
 unchecked.  The new labels are the two integers following the largest input
@@ -41,7 +43,6 @@ from .graphs import (
     DecoratedGraph,
     _moved_half_edges,
     arithmetic_genus,
-    component_count,
 )
 
 
@@ -220,37 +221,8 @@ def _reach(graph: DecoratedGraph) -> set:
     return shapes
 
 
-def _candidates_of_valid(graph, labels, shapes=None, ambient=None, targets=None):
-    """The candidates of cut, reduce and split, in that order, of a graph
-    already known to be valid, such as a boundary generator.
-
-    With ``shapes``, a set of shapes (edge count, psi on leg i, psi on leg j),
-    a graph none of whose moves can reach one (``_reach``) builds nothing;
-    any other graph yields its full streams.  With ``targets``, a set of
-    ``_target_key``s of valid graphs, only the moves whose candidate's key is
-    in it are built, and ``shapes`` is not read.  With ``ambient``, every
-    candidate, built or not, is checked against it before the first is
-    yielded; below its component bound one check of the graph's own
-    signature stands for all of them.  Otherwise checks are left to the
-    consumer.
-    """
-    if ambient is not None:
-        if component_count(graph) < ambient.max_components:
-            # below the bound the graph fixes every candidate's signature:
-            # genus one less (a graph below genus 1 has none), the markings
-            # plus labels, and at most one more component
-            pa = arithmetic_genus(graph)
-            if pa >= 1:
-                ambient._check_genus_and_markings(pa - 1, (*graph.markings(), *labels))
-        else:
-            for stream in _PARTS.values():
-                for cand, _ in stream(graph, labels):
-                    ambient.check(cand)
-    if targets is not None:
-        yield from _targeted_candidates(graph, labels, targets)
-        return
-    if shapes is not None and _reach(graph).isdisjoint(shapes):
-        return
+def _candidates(graph: DecoratedGraph, labels):
+    """The candidates of cut, reduce and split of ``graph``, in that order."""
     for stream in _PARTS.values():
         yield from stream(graph, labels)
 

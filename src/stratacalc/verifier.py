@@ -15,9 +15,10 @@ For each degree-k generator monomial the verifier either
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
-Each row's graph is checked against the output ambient once, whether or not
-a move is built: a connected graph fixes the genus, markings and component
-bound of every candidate.
+Each row's graph is checked once against the (g, n) ambient, before any
+candidate is built, as the signature rule (see ``invariance``) then puts
+every candidate on the output ambient; each form of a built image is still
+checked as it is merged.
 
 Induction-hypothesis inputs are recorded as named assumptions, not
 re-verified, unless ``recursive=True`` re-checks the named sub-instances; a
@@ -31,7 +32,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .classes import TautClass, _merged, monomial_class
+from .classes import AmbientSignature, TautClass, _merged, monomial_class
 from .errors import SizeGuardError
 from .graphs import (
     CanonicalForm,
@@ -45,7 +46,7 @@ from .graphs import (
     disjoint_union,
     single_vertex,
 )
-from .invariance import _candidates_of_valid, _output_signature, _target_key
+from .invariance import _candidates, _output_signature, _reach, _target_key, _targeted_candidates
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
@@ -490,14 +491,16 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     structural_violations = []
     gen_graphs = [G for mono in gens
                   for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
+    in_amb = AmbientSignature(g, range(1, n + 1))
     for r, G in enumerate(gen_graphs + bgraphs):
+        in_amb.check(G)   # by the signature rule, every candidate is on out_amb
         boundary = r >= len(gens)
-        image = _candidates_of_valid(G, (i_lab, j_lab), shapes, out_amb,
-                                     None if boundary else targets)
-        first = next(image, None)   # the ambient check; most boundary images are empty
-        if first is None:
-            continue
-        image = itertools.chain((first,), image)
+        if not boundary:
+            image = _targeted_candidates(G, (i_lab, j_lab), targets)
+        elif _reach(G).isdisjoint(shapes):
+            continue   # most boundary rows: no move reaches a wanted shape
+        else:
+            image = _candidates(G, (i_lab, j_lab))
         for form, graph, coeff in TautClass._of(*_merged(out_amb, image, 2)).items():
             if form in rows:
                 rows[form][r] = coeff

@@ -170,16 +170,6 @@ def test_ambient_is_the_named_tuple_of_its_fields():
         AmbientSignature(2.0, {1})
 
 
-def test_marking_check_counts_each_marking():
-    """Legs that carry an ambient marking twice are off the ambient, though
-    their marking set is the ambient's."""
-    amb = AmbientSignature(5, {1, 2}, 2)
-    with pytest.raises(SignatureError,
-                       match=r"^graph markings \(1, 1, 2\) differ from ambient \(1, 2\)$"):
-        amb._check_genus_and_markings(5, (1, 1, 2))
-    amb._check_genus_and_markings(5, (2, 1))
-
-
 def test_integer_numerators_are_exact():
     """Sums over one denominator are brought to lowest terms, and cancelled
     keys are dropped."""

@@ -155,8 +155,20 @@ def test_r1_refuses_the_retired_level_flags(tmp_path, capsys, flags):
     assert run("r1", "--in", FIXTURES / "fundamental_class_genus2.json",
                *flags, "--out", out) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: ")
+    assert err.startswith("usage: stratacalc r1 ")
     assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err
+    assert not out.exists()
+
+
+def test_an_unknown_flag_gets_its_subcommands_usage(tmp_path, capsys):
+    """Leftover arguments are reported with the usage of the subcommand they
+    were given to, not the top-level one, and nothing is written."""
+    out = tmp_path / "x.json"
+    assert run("enumerate", "--g", 2, "--n", 0, "--max-edges", 1, "--bogus",
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stratacalc enumerate ")
+    assert err.endswith("stratacalc enumerate: error: unrecognized arguments: --bogus\n")
     assert not out.exists()
 
 
@@ -420,13 +432,23 @@ def test_verify_guard_exits_3(monkeypatch, capsys):
         "exceeded STRATA_MAX_GRAPHS=1\n")
 
 
-def test_verify_refuses_an_unwritable_report_before_verifying(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("work,argv", [
+    ("enumerate_stable_graphs", ("enumerate", "--g", 2, "--n", 5, "--max-edges", 2, "--out")),
+    ("invariance_operator", ("r1", "--in", FIXTURES / "fundamental_class_genus2.json", "--out")),
+    ("forget_pushforward", ("push", "--in", FIXTURES / "kappa1_psi1_interior_3_1.json",
+                            "--forget", 1, "--out")),
+    ("verify_witness_independence", ("verify", "--g", 9, "--n", 3, "--k", 3, "--report")),
+], ids=["enumerate", "r1", "push", "verify"])
+def test_refuses_an_unwritable_output_before_working(monkeypatch, capsys, tmp_path,
+                                                     work, argv):
+    """The output path of each writing command is checked after its input is
+    read and before its work runs."""
     def never(*args, **kwargs):
-        raise AssertionError("verification ran before the report path was checked")
+        raise AssertionError(f"{work} ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "verify_witness_independence", never)
+    monkeypatch.setattr(cli, work, never)
     path = tmp_path / "missing" / "r.json"
-    assert run("verify", "--g", 9, "--n", 3, "--k", 3, "--report", path) == 2
+    assert run(*argv, path) == 2
     assert capsys.readouterr().err == (
         f"error: [Errno 2] No such file or directory: '{path}'\n")
 

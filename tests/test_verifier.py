@@ -29,7 +29,7 @@ from stratacalc import (
     witness_graph_for,
 )
 from stratacalc import graphs, pushforward, verifier
-from stratacalc.invariance import _candidates_of_valid, _reach
+from stratacalc.invariance import _candidates, _reach
 
 from oracles import (
     boundary_generators_reference,
@@ -515,13 +515,15 @@ def test_targeted_extraction_matches_full_image_with_overrides(witness):
 
 @pytest.mark.parametrize("g,n,k", [(6, 0, 1), (6, 2, 2), (6, 3, 1), (9, 0, 2)])
 def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
-    """Boundary images built from the shape-gated, move-checked stream and
-    restricted to the wanted shapes after merging equal those that build and
-    check every candidate and keep the wanted shapes, on witness, one-edge and
-    psi^1 shapes, and on shapes only a cut of an edge with end psi (in either
+    """Boundary images gated by ``_reach`` as the verifier gates them, built
+    from the full streams of a row on the input ambient and restricted to
+    the wanted shapes after merging, equal those that build and check every
+    candidate and keep the wanted shapes, on witness, one-edge and psi^1
+    shapes, and on shapes only a cut of an edge with end psi (in either
     orientation), a two-edge cut or a reduce or split of a two-edge graph
     reaches; a row that cannot reach the shapes builds nothing."""
     i_lab, j_lab = n + 1, n + 2
+    ambient = AmbientSignature(g, range(1, n + 1))
     out = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
     witnesses = (witness_graph_for(m, g, n) for m in generator_monomials(g, n, k))
     witness_shapes = {verifier._BARE} | {verifier._shape(w, i_lab, j_lab)
@@ -532,10 +534,9 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
     terms = Counter()
     for shapes in (witness_shapes, {(0, 1, 0), (0, 0, 1), (1, 0, 0)}, *hard):
         for G in boundary_generators(g, n, k):
-            image = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in
-                                    _candidates_of_valid(G, (i_lab, j_lab), shapes, out)))
-            if _reach(G).isdisjoint(shapes):
-                assert image.is_zero
+            ambient.check(G)
+            stream = [] if _reach(G).isdisjoint(shapes) else _candidates(G, (i_lab, j_lab))
+            image = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in stream))
             got = TautClass(out, [(graph, c) for _, graph, c in image.items()
                                   if verifier._shape(graph, i_lab, j_lab) in shapes])
             assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
@@ -547,15 +548,20 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
 
 def _inject(monkeypatch, target, extras):
     """Append ``extras``, ``(graph, sign)`` pairs whose coefficient is ``sign /
-    2`` as in the stream, to the verifier's candidate stream of ``target``."""
-    real = verifier._candidates_of_valid
+    2`` as in the stream, to the verifier's candidate stream of ``target``,
+    a generator row's targeted one or a boundary row's full one.  A boundary
+    ``target`` also reaches the bare shape, so it passes the gate and its
+    image, extras included, is built and checked."""
+    for name in ("_candidates", "_targeted_candidates"):
+        def stream(graph, *args, real=getattr(verifier, name)):
+            yield from real(graph, *args)
+            if graph == target:
+                yield from extras
 
-    def stream(graph, *args, **kwargs):
-        yield from real(graph, *args, **kwargs)
-        if graph == target:
-            yield from extras
-
-    monkeypatch.setattr(verifier, "_candidates_of_valid", stream)
+        monkeypatch.setattr(verifier, name, stream)
+    real_reach = verifier._reach
+    monkeypatch.setattr(verifier, "_reach", lambda graph: real_reach(graph)
+                        | ({verifier._BARE} if graph == target else set()))
 
 
 # bare (edge-free, psi^0 on i and j) terms on the (5, {1, 2}) output ambient of
@@ -618,22 +624,34 @@ def test_candidate_off_the_ambient_raises_in_a_targeted_generator_stream(monkeyp
         verify_witness_independence(6, 0, 1)
 
 
+def test_candidate_that_repeats_a_marking_raises(monkeypatch):
+    # legs carrying marking 1 twice have the ambient's marking set (1, 2),
+    # yet each ambient marking must appear exactly once; a stream builds its
+    # candidates unvalidated, so only the merge's check can catch this
+    stray = DecoratedGraph._of((5,), ((0, 1, 0), (0, 1, 0), (0, 2, 0)), (), ((),))
+    _inject(monkeypatch, single_vertex(6, kappa=(1,)), [(stray, 1)])
+    with pytest.raises(SignatureError) as exc:
+        verify_witness_independence(6, 0, 1)
+    assert str(exc.value) == "graph markings (1, 1, 2) differ from ambient (1, 2)"
+
+
 @pytest.mark.parametrize("stray,message", [
-    # a self-loop on genus 6: every candidate has genus 6 on the genus-5 ambient
+    # a self-loop on genus 6: arithmetic genus 7 on the genus-6 instance
     (DecoratedGraph((6,), (), ((0, 0, 0, 0),)),
-     "graph has arithmetic genus 6, ambient requires 5"),
+     "graph has arithmetic genus 7, ambient requires 6"),
     # a marking on an instance with none
     (DecoratedGraph((5,), ((0, 3, 0),), ((0, 0, 0, 0),)),
-     "graph markings (1, 2, 3) differ from ambient (1, 2)"),
-    # marking 1, which leg i also carries when n = 0: the marking set is right
+     "graph markings (3,) differ from ambient ()"),
+    # marking 1, which leg i also carries when n = 0: each candidate would
+    # repeat it, with the right marking set (1, 2)
     (DecoratedGraph((5,), ((0, 1, 0),), ((0, 0, 0, 0),)),
-     "graph markings (1, 1, 2) differ from ambient (1, 2)"),
+     "graph markings (1,) differ from ambient ()"),
 ])
 def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
         monkeypatch, stray, message):
     # the row's moves all keep an edge or put psi on leg i or j, so none
     # reaches a witness or a bare term, yet its signature is still checked
-    assert not list(_candidates_of_valid(stray, (1, 2), {verifier._BARE}))
+    assert _reach(stray).isdisjoint({verifier._BARE})
     real = verifier.boundary_generators
     monkeypatch.setattr(verifier, "boundary_generators",
                         lambda g, n, k: real(g, n, k) + [stray])
