@@ -18,7 +18,6 @@ from operator import index
 
 from .errors import SignatureError
 from .graphs import (
-    CanonicalForm,
     DecoratedGraph,
     _canonical_search,
     arithmetic_genus,
@@ -111,7 +110,7 @@ def _merged(ambient: AmbientSignature, pairs, den: int, check=True) -> tuple:
     is canonicalized; each form, the first time it is met, is recorded with its
     representative and, if ``check``, checked against ``ambient`` (the
     signature is an isomorphism invariant)."""
-    graphs: dict[CanonicalForm, DecoratedGraph] = {}
+    graphs: dict[bytes, DecoratedGraph] = {}
 
     def forms():
         for graph, num in pairs:

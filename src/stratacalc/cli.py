@@ -44,19 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--max-edges", type=int, required=True)
     e.add_argument("--min-edges", type=int, default=None)
     e.add_argument("--out", default=None, help="output path (default: stdout)")
+    e.set_defaults(run=_cmd_enumerate)
 
     r = sub.add_parser("r1", help="apply the genus-lowering operator to a class file")
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--out", default=None)
+    r.set_defaults(run=_cmd_r1)
 
     pu = sub.add_parser("push", help="forgetful pushforward of an interior class file")
     pu.add_argument("--in", dest="infile", required=True)
     pu.add_argument("--forget", type=int, required=True, help="marking to forget")
     pu.add_argument("--out", default=None)
+    pu.set_defaults(run=_cmd_push)
 
     f = sub.add_parser("faber", help="print the double-factorial intersection constant")
     f.add_argument("--g", type=int, required=True)
     f.add_argument("--l", type=int, required=True)
+    f.set_defaults(run=_cmd_faber)
 
     v = sub.add_parser("verify", help="replay the independence case analysis for (g,n,k)")
     v.add_argument("--g", type=int, required=True)
@@ -69,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--witness-table", default=None,
                    help="JSON file overriding witness graphs per monomial "
                         "(diagnostic / fault-injection hook)")
+    v.set_defaults(run=_cmd_verify)
     for parser in sub.choices.values():
         parser.set_defaults(parser=parser)   # leftover arguments get its usage
     return p
@@ -158,15 +163,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_DISPATCH = {
-    "enumerate": _cmd_enumerate,
-    "r1": _cmd_r1,
-    "push": _cmd_push,
-    "faber": _cmd_faber,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -176,7 +172,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except SizeGuardError as exc:
         print(f"size guard exceeded: {exc}", file=sys.stderr)
         return 3

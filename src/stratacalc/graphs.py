@@ -73,10 +73,6 @@ def compositions(total: int, parts: int):
         yield tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
 
 
-#: A canonical form is plain bytes: see ``canonicalize``.
-CanonicalForm = bytes
-
-
 class DecoratedGraph(namedtuple("DecoratedGraph", "genera legs edges kappa")):
     """Dual graph with a kappa monomial per vertex and a psi power per half-edge.
 
@@ -339,7 +335,7 @@ def _canonical_search(g: DecoratedGraph):
     return "".join(_COMPACT(best_key, 0)).encode("ascii"), canon, autos
 
 
-def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
+def canonicalize(g: DecoratedGraph) -> tuple[bytes, DecoratedGraph]:
     """Canonical form and canonical representative of ``g`` up to isomorphism.
 
     The form is the ASCII compact JSON of the least encoding over the orderings
@@ -353,7 +349,7 @@ def canonicalize(g: DecoratedGraph) -> tuple[CanonicalForm, DecoratedGraph]:
     return _canonical_search(g)[:2]
 
 
-def canonical_form(g: DecoratedGraph) -> CanonicalForm:
+def canonical_form(g: DecoratedGraph) -> bytes:
     return canonicalize(g)[0]
 
 

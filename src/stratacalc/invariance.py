@@ -54,14 +54,6 @@ def _output_signature(genus: int, markings):
     return labels, AmbientSignature(genus - 1, frozenset(markings) | set(labels), 2)
 
 
-def _prepare(graph: DecoratedGraph):
-    """Validate an input graph; its new leg labels and output ambient."""
-    graph.require_valid()
-    # genus-0 inputs land on a genus -1 ambient, which can only hold the
-    # zero class (the candidate streams of a genus-0 graph are empty)
-    return _output_signature(arithmetic_genus(graph), graph.markings())
-
-
 def _with_new_legs(legs, i_leg, j_leg):
     """``legs`` plus the new legs i and j, in marking order."""
     return tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
@@ -174,6 +166,15 @@ _PARTS = {"cut": _cut_candidates, "reduce": _reduce_candidates,
           "split": _split_candidates}
 
 
+def _part(graph: DecoratedGraph, stream) -> TautClass:
+    """The class of one candidate stream of ``graph``, validated first, on its
+    output ambient.  A genus-0 graph lands on a genus -1 ambient, which can
+    only hold the zero class (its streams are empty)."""
+    graph.require_valid()
+    labels, ambient = _output_signature(arithmetic_genus(graph), graph.markings())
+    return TautClass._of(*_merged(ambient, stream(graph, labels), 2))
+
+
 def cut_edges(graph) -> TautClass:
     """Cut every edge in turn, in both i/j labellings, with an extra psi power.
 
@@ -182,15 +183,13 @@ def cut_edges(graph) -> TautClass:
     assignments.  The extra power multiplies any psi decoration already
     sitting on the cut half-edge.
     """
-    labels, ambient = _prepare(graph)
-    return TautClass._of(*_merged(ambient, _cut_candidates(graph, labels), 2))
+    return _part(graph, _cut_candidates)
 
 
 def reduce_genus(graph) -> TautClass:
     """Lower the genus of each vertex by one, attaching legs i and j to it,
     both with psi^0, coefficient -1/2."""
-    labels, ambient = _prepare(graph)
-    return TautClass._of(*_merged(ambient, _reduce_candidates(graph, labels), 2))
+    return _part(graph, _reduce_candidates)
 
 
 def split_vertices(graph) -> TautClass:
@@ -202,8 +201,7 @@ def split_vertices(graph) -> TautClass:
     count as distinguishable, so repeated factors create multiplicity before
     canonical merging).  Coefficient -1/2, with psi^0 on legs i and j.
     """
-    labels, ambient = _prepare(graph)
-    return TautClass._of(*_merged(ambient, _split_candidates(graph, labels), 2))
+    return _part(graph, _split_candidates)
 
 
 def _reach(graph: DecoratedGraph) -> set:

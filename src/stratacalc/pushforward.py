@@ -223,11 +223,7 @@ def double_factorial(n: int) -> int:
     """n!! for odd n >= -1 (with (-1)!! = 1)."""
     if n < -1 or n % 2 == 0:
         raise ValueError("double_factorial is defined here for odd n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 1, -2))
 
 
 def faber_constant(g: int, l: int) -> Fraction:

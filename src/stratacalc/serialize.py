@@ -35,10 +35,6 @@ from .graphs import DecoratedGraph
 from .pushforward import InteriorClass, InteriorMonomial
 
 
-def coeff_str(c: Fraction) -> str:
-    return str(Fraction(c))
-
-
 def parse_coeff(s) -> Fraction:
     """A coefficient as the schema writes it: a ``"P/Q"`` string, or a JSON
     integer; a float or a bool is refused, not converted."""
@@ -145,7 +141,7 @@ def class_to_obj(x: TautClass) -> dict:
             "markings": list(x.ambient.marking_tuple()),
             "max_components": x.ambient.max_components,
         },
-        "terms": [{"coeff": coeff_str(c), "graph": graph_to_obj(g)}
+        "terms": [{"coeff": str(c), "graph": graph_to_obj(g)}
                   for _, g, c in x.items()],
     }
 
@@ -173,7 +169,7 @@ def interior_to_obj(x: InteriorClass) -> dict:
     return {
         "g": x.g,
         "n": x.n,
-        "terms": [{"coeff": coeff_str(c), "kappa": list(m.kappa),
+        "terms": [{"coeff": str(c), "kappa": list(m.kappa),
                    "psi": {str(mark): e for mark, e in m.psi}}
                   for m, c in x.items()],
     }

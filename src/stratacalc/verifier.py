@@ -32,10 +32,9 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .classes import AmbientSignature, TautClass, _merged, monomial_class
+from .classes import AmbientSignature, TautClass, _merged
 from .errors import SizeGuardError
 from .graphs import (
-    CanonicalForm,
     DecoratedGraph,
     _canonical_search,
     _placed,
@@ -76,17 +75,16 @@ def _partitions(d: int, max_part: int | None = None):
 
 
 def generator_monomials(g: int, n: int, k: int) -> list[InteriorMonomial]:
-    """All kappa^I psi^J of total degree k on (g, n), deterministic order."""
+    """Every kappa^I psi^J of total degree k on (g, n), sorted: the monomials
+    of the degree-k decorations (``_decorations``) of the smooth graph with
+    markings 1..n, as the boundary generators are those of the boundary
+    graphs."""
     if not 0 <= k <= g // 3:
         raise ValueError(f"k must lie in 0..floor(g/3) = {g // 3}, got {k}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    out = set()
-    for dk in range(k + 1):
-        for part in _partitions(dk):
-            for comp in compositions(k - dk, n):
-                out.add(InteriorMonomial(part, {m + 1: e for m, e in enumerate(comp)}))
-    return sorted(out)
+    return sorted(InteriorMonomial._of(G.kappa[0], tuple([(m, p) for _, m, p in G.legs if p]))
+                  for G in _decorations(single_vertex(g, range(1, n + 1)), k))
 
 
 def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
@@ -103,7 +101,7 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
         raise ValueError("boundary generators need k >= 1")
     if k > _MAX_K:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
-    found: dict[CanonicalForm, DecoratedGraph] = {}
+    found: dict[bytes, DecoratedGraph] = {}
     for e, shape_form, shape, placements in _placed_shapes(g, n, k, 1):
         if e == k and not n:    # a shape of deficit 0 is its own graph, and is searched already
             if placements:
@@ -489,8 +487,8 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     targets = {_target_key(w[2], (i_lab, j_lab)) for w in witness_of.values() if w is not None}
     targets.discard(None)   # no move of a generator reaches these
     structural_violations = []
-    gen_graphs = [G for mono in gens
-                  for _, G, _ in monomial_class(g, n, mono.kappa, mono.psi_dict()).items()]
+    gen_graphs = [single_vertex(g, [(m, mono.psi_dict().get(m, 0)) for m in range(1, n + 1)],
+                                mono.kappa) for mono in gens]
     in_amb = AmbientSignature(g, range(1, n + 1))
     for r, G in enumerate(gen_graphs + bgraphs):
         in_amb.check(G)   # by the signature rule, every candidate is on out_amb

@@ -25,7 +25,12 @@ stream's sign ``c`` read as ``Fraction(c, 2)``.
 graph validation, which recounts each vertex's valence, and the former
 canonical-form search, which refines colors to a fixed point, sorts legs and
 edges under every candidate order, and rebuilds the representative through
-the public constructor.
+the public constructor.  ``generator_monomials_reference`` keeps the
+verifier's former generator list, a loop over kappa multisets and psi
+compositions beside the decoration walk.  ``wk_number`` computes
+Witten-Kontsevich intersection numbers by the string equation and the DVV
+recursion, and ``kappa_psi_integral`` the integral of a top-degree kappa/psi
+monomial from them, independently of the interior pushforward.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from stratacalc.classes import AmbientSignature, TautClass, monomial_class
 from stratacalc.errors import InvalidGraphError, SignatureError, SizeGuardError
 from stratacalc.graphs import (
-    CanonicalForm,
     DecoratedGraph,
     arithmetic_genus,
     canonicalize,
@@ -229,6 +234,17 @@ def boundary_generators_reference(g: int, n: int, k: int):
     return sorted(found.items())
 
 
+def generator_monomials_reference(g: int, n: int, k: int) -> list[InteriorMonomial]:
+    """Every kappa^I psi^J of total degree k on (g, n), sorted: each kappa
+    multiset of degree at most k times each composition of the rest over the
+    markings 1..n, through the public constructor."""
+    out = set()
+    for part in _kappa_monomials(k):
+        for comp in compositions(k - sum(part), n):
+            out.add(InteriorMonomial(part, {m + 1: e for m, e in enumerate(comp)}))
+    return sorted(out)
+
+
 # ------------------------------------------------------ brute-force enumeration
 
 def enumerate_bruteforce(g: int, n: int, max_edges: int,
@@ -244,7 +260,7 @@ def enumerate_bruteforce(g: int, n: int, max_edges: int,
     if not 0 <= min_edges <= max_edges:
         raise ValueError("need 0 <= min_edges <= max_edges")
 
-    found: dict[CanonicalForm, DecoratedGraph] = {}
+    found: dict[bytes, DecoratedGraph] = {}
     vertex_budget = 2 * g - 2 + n   # every stable vertex contributes >= 1
     for e in range(min_edges, max_edges + 1):
         for V in range(1, min(vertex_budget, e + 1) + 1):
@@ -773,3 +789,72 @@ def double_factorial_recursive(n: int) -> int:
     if n <= 0:
         return 1
     return n * double_factorial_recursive(n - 2)
+
+
+# ------------------------------------------------ Witten-Kontsevich numbers
+
+def _odd_factorial(d: int) -> int:
+    """(2d + 1)!!, with (-1)!! = 1 for d = -1."""
+    return double_factorial_recursive(2 * d + 1)
+
+
+@lru_cache(maxsize=None)
+def _wk_sorted(ds: tuple[int, ...]) -> Fraction:
+    n = len(ds)
+    g, rest = divmod(sum(ds) - n + 3, 3)
+    if rest or g < 0 or 2 * g - 2 + n <= 0:
+        return Fraction(0)
+    if ds == (0, 0, 0):
+        return Fraction(1)
+    if ds == (1,):
+        return Fraction(1, 24)
+    if ds[0] == 0:      # string: <tau_0 prod tau_d> = sum_j <.. tau_{d_j - 1} ..>
+        others = ds[1:]
+        return sum((wk_number(others[:j] + (d - 1,) + others[j + 1:])
+                    for j, d in enumerate(others) if d), Fraction(0))
+    # DVV on the largest exponent k + 1 >= 1; at k = 0 it is the dilaton equation
+    k, others = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(others):
+        total += Fraction(_odd_factorial(k + d), _odd_factorial(d - 1)) * wk_number(
+            others[:j] + (d + k,) + others[j + 1:])
+    for r in range(k):
+        s = k - 1 - r
+        weight = Fraction(_odd_factorial(r) * _odd_factorial(s), 2)
+        total += weight * wk_number((r, s) + others)
+        for mask in range(1 << len(others)):
+            side = ([], [])
+            for bit, d in enumerate(others):
+                side[mask >> bit & 1].append(d)
+            total += weight * wk_number((r, *side[0])) * wk_number((s, *side[1]))
+    return total / _odd_factorial(k + 1)
+
+
+def wk_number(ds) -> Fraction:
+    """<tau_{d_1} ... tau_{d_n}>_g, the integral of psi_1^{d_1} ... psi_n^{d_n}
+    over Mbar_{g,n}, where 3g - 3 + n = sum(d); 0 when no such stable (g, n)
+    exists.  A tau_0 goes by the string equation, and otherwise the largest
+    exponent goes by the Dijkgraaf-Verlinde-Verlinde recursion, which is the
+    dilaton equation for tau_1, from <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24."""
+    return _wk_sorted(tuple(sorted(ds)))
+
+
+def kappa_psi_integral(g: int, n: int, kappa=(), psi=None) -> Fraction:
+    """The integral of kappa_{b_1} ... kappa_{b_m} prod psi_i^{psi[i]} over
+    Mbar_{g,n}; 0 unless its degree is 3g - 3 + n.  Each kappa_b is
+    pi_*(psi_{n+1}^{b+1}) along the map forgetting a new marking n+1, and
+    the projection formula moves the other factors up by pi^*kappa_a =
+    kappa_a - psi_{n+1}^a and pi^*psi_i = psi_i (exact here: psi_{n+1}^{b+1}
+    kills the divisors where pi^*psi_i and psi_i differ)."""
+    psi = dict(psi or {})
+    exps = [psi.get(m, 0) for m in range(1, n + 1)]
+    if not kappa:
+        return wk_number(exps)
+    first, rest = kappa[0], tuple(kappa[1:])
+    total = Fraction(0)
+    for mask in range(1 << len(rest)):
+        moved = [b for bit, b in enumerate(rest) if mask >> bit & 1]
+        kept = [b for bit, b in enumerate(rest) if not mask >> bit & 1]
+        psi[n + 1] = first + 1 + sum(moved)
+        total += (-1) ** len(moved) * kappa_psi_integral(g, n + 1, kept, psi)
+    return total

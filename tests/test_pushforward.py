@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -27,7 +27,10 @@ from stratacalc import (
 from oracles import (
     double_factorial_recursive,
     forget_pushforward_reference,
+    generator_monomials_reference,
+    kappa_psi_integral,
     pullback_lift_reference,
+    wk_number,
 )
 
 
@@ -322,6 +325,78 @@ def test_faber_range_errors():
         faber_constant(3, 2)
     with pytest.raises(ValueError):
         faber_constant(1, 0)
+
+
+# --------------------------------------------- Witten-Kontsevich integrals
+
+def _integral(x: InteriorClass) -> Fraction:
+    """The integral of ``x`` over Mbar_{g,n}, term by term by the oracle."""
+    return sum((c * kappa_psi_integral(x.g, x.n, m.kappa, m.psi_dict()) for m, c in x.items()),
+               Fraction(0))
+
+
+def _stable_sweep():
+    """(g, n) with g <= 3, 1 <= n <= 4 and Mbar_{g,n-1} stable."""
+    return [(g, n) for g in range(4) for n in range(1, 5) if 2 * g - 3 + n > 0]
+
+
+def test_wk_closed_forms_and_kappa_cube_by_pushforward():
+    assert wk_number((1,)) == Fraction(1, 24)
+    for g in range(1, 6):
+        assert wk_number((3 * g - 2,)) == Fraction(1, 24 ** g * factorial(g))
+    assert wk_number((2, 3)) == Fraction(29, 5760)
+    assert kappa_psi_integral(1, 1, (1,)) == Fraction(1, 24)
+    assert kappa_psi_integral(2, 0, (1, 1, 1)) == Fraction(43, 2880)
+    # kappa_1^3 on Mbar_2 pushed forward from psi_1^2 pi^*(kappa_1^2) on Mbar_{2,1},
+    # where pi^*kappa_1 = kappa_1 - psi_1
+    lift = ic(2, 1, (InteriorMonomial((1, 1), {1: 2}), 1), (InteriorMonomial((1,), {1: 3}), -2),
+              (psi(p1=4), 1))
+    assert forget_pushforward(lift, 1) == ic(2, 0, (kappa(1, 1, 1), 1))
+    assert _integral(lift) == Fraction(43, 2880)
+
+
+def test_wk_string_and_dilaton_on_a_sweep():
+    """String and dilaton for every top-degree psi^J on Mbar_{g,n-1} of the
+    sweep, and the dilaton through the pushforward from Mbar_{g,n}:
+    forgetting a marking with psi^1 multiplies by kappa_0 = 2g - 3 + n."""
+    checked, total = 0, Fraction(0)
+    for g, n in _stable_sweep():
+        for mono in generator_monomials_reference(g, n - 1, 3 * g - 4 + n):
+            if mono.kappa:
+                continue
+            exps = [mono.psi_dict().get(m, 0) for m in range(1, n)]
+            value = wk_number(exps)
+            assert wk_number(exps + [0]) == sum(
+                (wk_number(exps[:j] + [d - 1] + exps[j + 1:]) for j, d in enumerate(exps) if d),
+                Fraction(0))
+            assert wk_number(exps + [1]) == (2 * g - 3 + n) * value
+            up = ic(g, n, (InteriorMonomial((), mono.psi + ((n, 1),)), 1))
+            down = forget_pushforward(up, n)
+            assert down == ic(g, n - 1, (mono, 2 * g - 3 + n))
+            assert _integral(up) == _integral(down)
+            checked += 1
+            total += value
+    # regression values, no published table: the count and the sum of <tau^J>
+    assert (checked, total) == (115, Fraction(3273803, 1451520))
+
+
+def test_wk_integrals_survive_pushforward_in_the_exact_regime():
+    """With psi^b, b >= 1, on the forgotten marking in every term, the
+    interior pushforward is the geometric one, so it keeps every integral;
+    at most 30 seeded top-degree monomials per (g, n) of the sweep."""
+    rng = random.Random(2558)
+    checked, total = 0, Fraction(0)
+    for g, n in _stable_sweep():
+        monos = [m for m in generator_monomials_reference(g, n, 3 * g - 3 + n)
+                 if m.psi_dict().get(n, 0) >= 1]
+        for mono in rng.sample(monos, min(30, len(monos))):
+            up = ic(g, n, (mono, 1))
+            value = _integral(up)
+            assert _integral(forget_pushforward(up, n)) == value, (g, n, mono)
+            checked += 1
+            total += value
+    # regression values, no published table: the count and the sum of the integrals
+    assert (checked, total) == (258, Fraction(2280636157, 25920))
 
 
 # ------------------------------------------------------------ the identity

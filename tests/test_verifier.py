@@ -34,6 +34,7 @@ from stratacalc.invariance import _candidates, _reach
 from oracles import (
     boundary_generators_reference,
     full_image_extraction,
+    generator_monomials_reference,
     targeted_image_reference,
     witness_assumptions_reference,
     witness_graph_reference,
@@ -66,6 +67,15 @@ def test_generators_sorted_and_bounded():
         generator_monomials(6, 0, 3)   # k > floor(g/3)
     with pytest.raises(ValueError, match="n must be non-negative, got -1"):
         generator_monomials(6, -1, 1)
+
+
+def test_generator_monomials_match_reference():
+    """The decoration walk gives the former generator loop's list, in order,
+    over the verifier's range and at the benchmark's set-up inputs."""
+    cases = [(g, n, k) for g in range(3, 13) for n in range(9)
+             for k in range(min(3, g // 3) + 1)]
+    for g, n, k in cases + [(12, 8, 4), (30, 6, 6), (24, 8, 5)]:
+        assert generator_monomials(g, n, k) == generator_monomials_reference(g, n, k), (g, n, k)
 
 
 # ------------------------------------------------------- boundary generators
