@@ -23,7 +23,6 @@ from .serialize import (
     dump_file,
     dumps,
     graph_from_obj,
-    graph_to_obj,
     interior_from_obj,
     interior_to_obj,
     load_file,
@@ -96,7 +95,7 @@ def _cmd_enumerate(args) -> int:
         "min_edges": args.min_edges if args.min_edges is not None
         else min(1, args.max_edges),
         "count": len(graphs),
-        "graphs": [graph_to_obj(G) for G in graphs],
+        "graphs": graphs,   # dumps writes each graph from its fields
     }, args.out)
     return 0
 

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .classes import AmbientSignature, TautClass, _merged, _numerators
 from .errors import InvalidGraphError
-from .graphs import DecoratedGraph
+from .graphs import _BY_MARKING, DecoratedGraph, _sorted_edges
 from .pushforward import InteriorClass, InteriorMonomial
 
 
@@ -59,6 +59,8 @@ def _int(x) -> int:
 def _resolve_markings(raw_markings):
     """Map 'i'/'j' tokens to the two labels after the largest integer marking."""
     ints = [_int(m) for m in raw_markings if not isinstance(m, str)]
+    if len(ints) == len(raw_markings):
+        return ints
     base = max(ints, default=0)
     table = {"i": base + 1, "j": base + 2}
     out = []
@@ -75,33 +77,43 @@ def _resolve_markings(raw_markings):
 # -------------------------------------------------------------------- graphs
 
 def graph_to_obj(g: DecoratedGraph) -> dict:
-    slot = [0] * g.n_vertices
-    for v, _, _ in g.legs:
-        slot[v] += 1     # legs occupy the leading slots of each vertex
-    obj = {
+    return {
         "vertices": [{"genus": g.genera[v], "kappa": list(g.kappa[v])}
                      for v in range(g.n_vertices)],
         "legs": [{"vertex": v, "marking": m, "psi": p} for v, m, p in g.legs],
-        "edges": [],
+        "edges": [{"ends": [[v1, s1], [v2, s2]], "psi": [p1, p2]}
+                  for v1, s1, p1, v2, s2, p2 in _edge_slots(g)],
     }
+
+
+def _edge_slots(g: DecoratedGraph):
+    """Each edge of ``g`` as ``(v1, s1, p1, v2, s2, p2)``, ``s`` the slot of
+    an end: legs occupy the leading slots of each vertex, then each edge end
+    takes the next free slot of its vertex."""
+    slot = [0] * g.n_vertices
+    for v, _, _ in g.legs:
+        slot[v] += 1
     for v1, p1, v2, p2 in g.edges:
         s1 = slot[v1]
         slot[v1] += 1
         s2 = slot[v2]
         slot[v2] += 1
-        obj["edges"].append({"ends": [[v1, s1], [v2, s2]], "psi": [p1, p2]})
-    return obj
+        yield v1, s1, p1, v2, s2, p2
 
 
 def graph_from_obj(obj) -> DecoratedGraph:
+    """The graph ``obj`` describes.  Each integer is checked where it is read
+    (genera, kappa, markings, legs, then edge by edge), the edge-end slots
+    are checked against the legs, and the fields go straight into the normal
+    form of ``DecoratedGraph``, which is validated once."""
     try:
         vertices = obj["vertices"]
-        genera = tuple(_int(v["genus"]) for v in vertices)
-        kappa = tuple(tuple(_int(k) for k in v.get("kappa", ())) for v in vertices)
+        genera = tuple([_int(v["genus"]) for v in vertices])
+        kappa = tuple([tuple(sorted([_int(k) for k in v.get("kappa", ())])) for v in vertices])
         raw_legs = obj.get("legs", ())
         markings = _resolve_markings([leg["marking"] for leg in raw_legs])
-        legs = tuple((_int(leg["vertex"]), m, _int(leg.get("psi", 0)))
-                     for leg, m in zip(raw_legs, markings))
+        legs = sorted([(_int(leg["vertex"]), m, _int(leg.get("psi", 0)))
+                       for leg, m in zip(raw_legs, markings)], key=_BY_MARKING)
         edges = []
         ends = []
         for e in obj.get("edges", ()):
@@ -119,17 +131,16 @@ def graph_from_obj(obj) -> DecoratedGraph:
     for v, _ in ends:
         valence[v] = valence.get(v, 0) + 1
     used_slots = set()
-    for v, s in ends:
-        if (v, s) in used_slots:
+    for end in ends:
+        v, s = end
+        if end in used_slots:
             raise InvalidGraphError(f"dangling half-edge: slot {s} at vertex {v} used twice")
         lo = n_legs.get(v, 0)
         if not lo <= s < valence[v]:
             raise InvalidGraphError(f"edge-end slot {s} at vertex {v} is outside its "
                                     f"edge slots {lo}..{valence[v] - 1}")
-        used_slots.add((v, s))
-    graph = DecoratedGraph(genera, legs, tuple(edges), kappa)
-    graph.require_valid()
-    return graph
+        used_slots.add(end)
+    return DecoratedGraph._of(genera, tuple(legs), _sorted_edges(edges), kappa).require_valid()
 
 
 # ------------------------------------------------------------------- classes
@@ -206,8 +217,29 @@ def dumps(obj) -> str:
     with the same ``TypeError``s, but from str joins: json encodes in pure
     Python whenever it indents.  In a list or dict an int is written by
     ``str`` and a str (a key too) by ``encode_basestring_ascii``, which
-    ``json.dumps`` calls for it; any other scalar goes to json itself."""
+    ``json.dumps`` calls for it; any other scalar goes to json itself.  A
+    ``DecoratedGraph`` is written from its fields as ``graph_to_obj`` of it
+    would be, with no dict built for it."""
     return _indented(obj, "\n") + "\n"
+
+
+def _graph(G: DecoratedGraph, nl: str) -> str:
+    """``_indented(graph_to_obj(G), nl)``: one f-string per vertex, leg and
+    edge, with the slots ``_edge_slots`` gives ``graph_to_obj``."""
+    i1, i2, i3, i4, i5 = (nl + "  " * d for d in range(1, 6))
+    vertices = [f'{{{i3}"genus": {h},{i3}"kappa": {_items(list(map(str, ks)), i3)}{i2}}}'
+                for h, ks in zip(G.genera, G.kappa)]
+    legs = [f'{{{i3}"marking": {m},{i3}"psi": {p},{i3}"vertex": {v}{i2}}}' for v, m, p in G.legs]
+    edges = [f'{{{i3}"ends": [{i4}[{i5}{v1},{i5}{s1}{i4}],{i4}[{i5}{v2},{i5}{s2}{i4}]'
+             f'{i3}],{i3}"psi": [{i4}{p1},{i4}{p2}{i3}]{i2}}}'
+             for v1, s1, p1, v2, s2, p2 in _edge_slots(G)]
+    return (f'{{{i1}"edges": {_items(edges, i1)},{i1}"legs": {_items(legs, i1)},'
+            f'{i1}"vertices": {_items(vertices, i1)}{nl}}}')
+
+
+def _items(items, nl: str) -> str:
+    """JSON list of written ``items``, each on a line of ``nl`` and two spaces."""
+    return f"[{nl}  " + f",{nl}  ".join(items) + f"{nl}]" if items else "[]"
 
 
 def _key(k) -> str:
@@ -220,6 +252,8 @@ def _key(k) -> str:
 
 def _indented(obj, nl: str) -> str:
     """``obj`` as JSON, each nested line starting with ``nl`` and two spaces."""
+    if type(obj) is DecoratedGraph:
+        return _graph(obj, nl)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

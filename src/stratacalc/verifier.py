@@ -97,6 +97,11 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
     serves.  Decorating commutes with relabelling, and a representative is a
     function of its form, so that equals decorating the representatives.
     """
+    return list(_boundary_listing(g, n, k).values())
+
+
+def _boundary_listing(g: int, n: int, k: int) -> dict[bytes, DecoratedGraph]:
+    """``boundary_generators(g, n, k)`` keyed by canonical form, in form order."""
     if k < 1:
         raise ValueError("boundary generators need k >= 1")
     if k > _MAX_K:
@@ -112,7 +117,7 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
             for cand in _decorations(placed, k - e) if e < k else (placed,):
                 form, canon, _ = _canonical_search(cand)
                 found[form] = canon
-    return [found[f] for f in sorted(found)]
+    return {f: found[f] for f in sorted(found)}
 
 
 def _decorations(base: DecoratedGraph, d: int):
@@ -466,7 +471,8 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     if unused:
         raise ValueError(f"witness table names no generator of (g={g}, n={n}, k={k}): "
                          f"{', '.join(map(str, unused))}")
-    bgraphs = boundary_generators(g, n, k)
+    listing = _boundary_listing(g, n, k)
+    bforms, bgraphs = list(listing), list(listing.values())
     # images are read only at the witnesses and, for the structural check, at
     # bare terms
     witness_of = {}
@@ -504,7 +510,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                 rows[form][r] = coeff
             if boundary and _shape(graph, i_lab, j_lab) == _BARE:
                 structural_violations.append(
-                    f"image term of boundary graph {_canonical_search(G)[0].hex()[:16]} "
+                    f"image term of boundary graph {bforms[r - len(gens)].hex()[:16]} "
                     f"has no edge and psi^0 on both new legs")
 
     system_cache: SystemReport | None = None
@@ -562,7 +568,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
             bnd_coeffs[b] = str(coeff)
             violations.append(
                 f"witness appears in the image of boundary graph "
-                f"{_canonical_search(bgraphs[b])[0].hex()[:16]} with coefficient {coeff}")
+                f"{bforms[b].hex()[:16]} with coefficient {coeff}")
         insts, notes, extrapolated = _witness_assumptions(mono, g, n, witness)
         assumed_instances.update(insts)
         assumption_strs = tuple(
@@ -609,7 +615,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
 
     return VerificationReport(
         g=g, n=n, k=k, i_label=i_lab, j_label=j_lab, entries=tuple(entries),
-        boundary_forms=tuple(_canonical_search(G)[0].hex() for G in bgraphs),
+        boundary_forms=tuple([form.hex() for form in bforms]),
         structural_ok=structural_ok,
         structural_violations=tuple(structural_violations),
         sub_instances=tuple(sub_results), passed=passed,

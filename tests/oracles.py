@@ -25,9 +25,11 @@ stream's sign ``c`` read as ``Fraction(c, 2)``.
 graph validation, which recounts each vertex's valence, and the former
 canonical-form search, which refines colors to a fixed point, sorts legs and
 edges under every candidate order, and rebuilds the representative through
-the public constructor.  ``generator_monomials_reference`` keeps the
-verifier's former generator list, a loop over kappa multisets and psi
-compositions beside the decoration walk.  ``wk_number`` computes
+the public constructor.  ``graph_from_obj_reference`` keeps the former graph
+JSON reader, which reads the fields through generators and builds the graph
+through the public constructor, which normalizes them again.
+``generator_monomials_reference`` keeps the verifier's former generator list,
+a loop over kappa multisets and psi compositions beside the decoration walk.  ``wk_number`` computes
 Witten-Kontsevich intersection numbers by the string equation and the DVV
 recursion, and ``kappa_psi_integral`` the integral of a top-degree kappa/psi
 monomial from them, independently of the interior pushforward.
@@ -740,6 +742,70 @@ def canonical_search_reference(g: DecoratedGraph, stable: bool = True):
     genera, kappa = zip(*verts)
     canon = DecoratedGraph(genera, tuple((v, m, p) for m, v, p in legs), edges, kappa)
     return json.dumps(best_key, separators=(",", ":")).encode("ascii"), canon, ties
+
+
+# ------------------------------------------------------------------ graph JSON
+
+def _int_reference(x) -> int:
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _markings_reference(raw_markings):
+    ints = [_int_reference(m) for m in raw_markings if not isinstance(m, str)]
+    base = max(ints, default=0)
+    table = {"i": base + 1, "j": base + 2}
+    out = []
+    for m in raw_markings:
+        if isinstance(m, str):
+            if m not in table:
+                raise InvalidGraphError(f"unknown marking token {m!r}")
+            out.append(table[m])
+        else:
+            out.append(_int_reference(m))
+    return out
+
+
+def graph_from_obj_reference(obj) -> DecoratedGraph:
+    """The former ``serialize.graph_from_obj``: the same checks in the same
+    order, the graph built through the public constructor."""
+    try:
+        vertices = obj["vertices"]
+        genera = tuple(_int_reference(v["genus"]) for v in vertices)
+        kappa = tuple(tuple(_int_reference(k) for k in v.get("kappa", ())) for v in vertices)
+        raw_legs = obj.get("legs", ())
+        markings = _markings_reference([leg["marking"] for leg in raw_legs])
+        legs = tuple((_int_reference(leg["vertex"]), m, _int_reference(leg.get("psi", 0)))
+                     for leg, m in zip(raw_legs, markings))
+        edges = []
+        ends = []
+        for e in obj.get("edges", ()):
+            (v1, s1), (v2, s2) = e["ends"]
+            ends += [(_int_reference(v1), _int_reference(s1)),
+                     (_int_reference(v2), _int_reference(s2))]
+            p1, p2 = e.get("psi", (0, 0))
+            edges.append((v1, _int_reference(p1), v2, _int_reference(p2)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidGraphError(f"malformed graph object: {exc}") from None
+    n_legs = {}
+    for v, _, _ in legs:
+        n_legs[v] = n_legs.get(v, 0) + 1
+    valence = dict(n_legs)
+    for v, _ in ends:
+        valence[v] = valence.get(v, 0) + 1
+    used_slots = set()
+    for v, s in ends:
+        if (v, s) in used_slots:
+            raise InvalidGraphError(f"dangling half-edge: slot {s} at vertex {v} used twice")
+        lo = n_legs.get(v, 0)
+        if not lo <= s < valence[v]:
+            raise InvalidGraphError(f"edge-end slot {s} at vertex {v} is outside its "
+                                    f"edge slots {lo}..{valence[v] - 1}")
+        used_slots.add((v, s))
+    graph = DecoratedGraph(genera, legs, tuple(edges), kappa)
+    graph.require_valid()
+    return graph
 
 
 # ------------------------------------------------------------- random graphs

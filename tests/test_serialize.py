@@ -1,16 +1,22 @@
-"""``serialize.dumps`` against the json module it stands in for."""
+"""``serialize.dumps`` against the json module it stands in for, and
+``graph_from_obj`` against the former reader."""
 
+import copy
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from oracles import graph_from_obj_reference
 from stratacalc import (
     AmbientSignature,
+    DecoratedGraph,
     InteriorClass,
     InteriorMonomial,
     TautClass,
+    boundary_generators,
     enumerate_stable_graphs,
     forget_pushforward,
     invariance_operator,
@@ -18,7 +24,13 @@ from stratacalc import (
     verify_witness_independence,
 )
 from stratacalc import verifier
-from stratacalc.serialize import class_to_obj, dumps, graph_to_obj, interior_to_obj
+from stratacalc.serialize import (
+    class_to_obj,
+    dumps,
+    graph_from_obj,
+    graph_to_obj,
+    interior_to_obj,
+)
 
 
 def reference(obj) -> str:
@@ -99,3 +111,111 @@ def test_dumps_raises_what_json_raises(obj):
     with pytest.raises(TypeError) as got:
         dumps(obj)
     assert str(got.value) == str(want.value)
+
+
+# -------------------------------------------------------------------- graphs
+
+@lru_cache(maxsize=None)
+def _graphs() -> tuple:
+    """Full enumerations and the boundary generators of (6,2,2): graphs with
+    kappa lists, self-loops and parallel edges."""
+    return tuple(enumerate_stable_graphs(2, 0, 3, min_edges=0) + enumerate_stable_graphs(0, 6, 3)
+                 + enumerate_stable_graphs(2, 5, 2) + boundary_generators(6, 2, 2))
+
+
+def _as_objs(obj):
+    """``obj`` with every graph in it replaced by its ``graph_to_obj``."""
+    if isinstance(obj, DecoratedGraph):
+        return graph_to_obj(obj)
+    if isinstance(obj, dict):
+        return {k: _as_objs(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_objs(x) for x in obj]
+    return obj
+
+
+def test_dumps_writes_graphs_as_graph_to_obj():
+    graphs = list(_graphs())
+    assert any(any(G.kappa) for G in graphs)
+    assert any(v1 == v2 for G in graphs for v1, _, v2, _ in G.edges)
+    assert any(len({(v1, v2) for v1, _, v2, _ in G.edges}) < G.n_edges for G in graphs)
+    # a graph in a list in a dict, as enumerate writes it, and one level
+    # deeper, as a class's terms hold it
+    for obj in ({"count": len(graphs), "graphs": graphs},
+                {"terms": [{"coeff": "1", "graph": G} for G in graphs]}):
+        assert dumps(obj) == reference(_as_objs(obj))
+
+
+BAD_VALUES = (-1, 0, 1, 2, 5, 10 ** 20, 1.0, 0.5, True, False, None, "1", "i", "j", "k",
+              "", [], [0], [0, 1], [0, 1, 2], [[0, 0], [0, 1], [0, 2]], {}, {"genus": 0})
+
+
+def _nodes(obj):
+    """Every ``(container, key)`` in a JSON tree, the tree itself excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in list(items):
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+def _list(obj: dict, key) -> list:
+    value = obj.get(key)
+    return value if isinstance(value, list) else []
+
+
+def _mutate(rng, obj):
+    """``obj`` with one fault: a value replaced, a key or item dropped, an
+    item repeated, an edge end's slot reused or shifted, or a marking made a
+    token."""
+    nodes = list(_nodes(obj))
+    ends = [end for e in _list(obj, "edges") if isinstance(e, dict)
+            for end in _list(e, "ends") if isinstance(end, list) and len(end) == 2]
+    legs = [leg for leg in _list(obj, "legs") if isinstance(leg, dict) and "marking" in leg]
+    kind = rng.randrange(6)
+    if kind == 0 and len(ends) > 1:
+        a, b = rng.sample(ends, 2)
+        a[:] = b[:]        # the same vertex and slot twice
+    elif kind == 1 and ends:
+        rng.choice(ends)[1] += rng.choice((-2, -1, 1, 2))
+    elif kind == 2 and legs:
+        rng.choice(legs)["marking"] = rng.choice(("i", "j", "i", "x"))
+    elif kind == 3 and nodes:
+        parent, key = rng.choice(nodes)
+        if isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+    elif nodes:
+        parent, key = rng.choice(nodes)
+        parent[key] = copy.deepcopy(rng.choice(BAD_VALUES))
+    return obj
+
+
+def _outcome(read, obj):
+    try:
+        return "read", read(obj)
+    except Exception as exc:   # whatever one reader raises, the other must too
+        return type(exc), str(exc)
+
+
+def test_graph_from_obj_matches_the_former_reader_on_faults():
+    rng = random.Random(26)
+    graphs = _graphs()
+    outcomes = []
+    for _ in range(2400):
+        obj = graph_to_obj(rng.choice(graphs))
+        for _ in range(rng.choice((1, 1, 2))):
+            _mutate(rng, obj)
+        got = _outcome(graph_from_obj, copy.deepcopy(obj))
+        assert got == _outcome(graph_from_obj_reference, obj), obj
+        outcomes.append("read" if got[0] == "read" else got[1])
+    for graph in graphs:
+        assert graph_from_obj(graph_to_obj(graph)) == graph
+    # every kind of fault is reached, and some faults leave a graph
+    for start in ("read", "malformed graph object: expected an integer",
+                  "malformed graph object: '", "malformed graph object: not enough values",
+                  "malformed graph object: too many values", "unknown marking token",
+                  "dangling half-edge: slot", "edge-end slot", "unstable vertex",
+                  "duplicate marking"):
+        assert any(o.startswith(start) for o in outcomes), start

@@ -662,9 +662,9 @@ def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
     # the row's moves all keep an edge or put psi on leg i or j, so none
     # reaches a witness or a bare term, yet its signature is still checked
     assert _reach(stray).isdisjoint({verifier._BARE})
-    real = verifier.boundary_generators
-    monkeypatch.setattr(verifier, "boundary_generators",
-                        lambda g, n, k: real(g, n, k) + [stray])
+    real = verifier._boundary_listing
+    monkeypatch.setattr(verifier, "_boundary_listing",
+                        lambda g, n, k: {**real(g, n, k), canonical_form(stray): stray})
     with pytest.raises(SignatureError) as exc:
         verify_witness_independence(6, 0, 1)
     assert str(exc.value) == message
@@ -704,7 +704,7 @@ def _generator_rows(monkeypatch, g, n, k):
     a witness's self and generator coefficients are read off the generator
     rows alone, so the sweeps below reach (12, 8, 3) without enumerating its
     boundary graphs."""
-    monkeypatch.setattr(verifier, "boundary_generators", lambda *instance: [])
+    monkeypatch.setattr(verifier, "_boundary_listing", lambda *instance: {})
     return [e for e in verify_witness_independence(g, n, k).entries
             if e.branch == "witness-split"]
 
