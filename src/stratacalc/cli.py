@@ -153,12 +153,10 @@ def _cmd_verify(args) -> int:
     report = verify_witness_independence(args.g, args.n, args.k,
                                          recursive=args.recursive,
                                          witness_overrides=overrides)
-    if args.report:
-        dump_file(report.to_obj(), args.report)
+    if args.report or not args.text:
+        _emit(report.to_obj(), args.report)
     if args.text:
         sys.stdout.write(report.to_text())
-    elif not args.report:
-        sys.stdout.write(report.to_json())
     return 0 if report.passed else 1
 
 

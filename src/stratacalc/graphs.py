@@ -22,11 +22,12 @@ by invariant-based partition refinement followed by exhaustive search over the
 residual vertex orderings; graphs here are tiny, so correctness beats
 sophistication.  The same search yields the vertex automorphisms: the
 orderings that tie for the least encoding.  Enumeration uses them to place
-markings on unmarked shapes once per isomorphism class, so it searches each
-shape and each graph it returns once, and the boundary generators search
-each decoration of a placed graph once.  Refinement almost always ends
+markings on unmarked shapes once per isomorphism class.  One walk over the
+placed graphs, ``_listing``, lists both the enumeration and the boundary
+generators of ``verifier``: it searches each shape once, and each placed
+graph or each of its decorations once.  Refinement almost always ends
 discrete, leaving one ordering: measured searches try 1.000 to 1.12
-orderings each (253 searches and 261 orderings for verify (6,2,2), 15,070
+orderings each (227 searches and 235 orderings for verify (6,2,2), 15,070
 and 15,325 for the boundary generators of (9,3,3), 684 and 750 for
 enumeration and boundary generators at (9,0,3)).  A search therefore costs
 its fixed per-graph work, which is what the code here keeps small, and not
@@ -512,6 +513,62 @@ def _placed_shapes(g: int, n: int, max_edges: int, min_edges: int | None = None)
     return counted
 
 
+def _partitions(d: int, max_part: int | None = None):
+    """Multisets of integers >= 1 summing to d, as nonincreasing tuples."""
+    if max_part is None:
+        max_part = d
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, max_part), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first,) + rest
+
+
+def _decorations(base: DecoratedGraph, d: int):
+    """Yield every placement of kappa/psi decorations of total degree ``d`` on
+    the undecorated graph ``base``, in normal form."""
+    V, L, E = base.n_vertices, len(base.legs), base.n_edges
+    # kappa multisets of each degree, as sorted tuples
+    kappas = [[part[::-1] for part in _partitions(a)] for a in range(d + 1)]
+    for alloc in compositions(d, V + L + 2 * E):
+        v_amt = alloc[:V]
+        leg_amt = alloc[V:V + L]
+        end_amt = alloc[V + L:]
+        legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(base.legs))
+        edges = _sorted_edges((v1, end_amt[2 * i], v2, end_amt[2 * i + 1])
+                              for i, (v1, _, v2, _) in enumerate(base.edges))
+        for kappa in itertools.product(*[kappas[a] for a in v_amt]):
+            yield DecoratedGraph._of(base.genera, legs, edges, kappa)
+
+
+def _listing(g: int, n: int, max_edges: int, min_edges: int | None = None,
+             degree: int | None = None) -> dict[bytes, DecoratedGraph]:
+    """Canonical form -> representative, in form order, of each placed graph
+    of ``_placed_shapes`` (its checks and cap), or with ``degree``, of each
+    of its decorations of total degree ``degree``, each searched once.
+
+    A placed graph of full degree is its own only decoration, and at n = 0 a
+    shape of deficit 0 is its own graph, whose search is done already.
+    Decorating commutes with relabelling, and a representative is a function
+    of its form, so decorating the placed graphs equals decorating the
+    representatives.
+    """
+    found = {}
+    for e, shape_form, shape, placements in _placed_shapes(g, n, max_edges, min_edges):
+        d = 0 if degree is None else degree - e
+        if not (n or d):
+            if placements:
+                found[shape_form] = shape
+            continue
+        for p in placements:
+            placed = _placed(shape, p)
+            for cand in _decorations(placed, d) if d else (placed,):
+                form, canon, _ = _canonical_search(cand)
+                found[form] = canon
+    return {f: found[f] for f in sorted(found)}
+
+
 def enumerate_stable_graphs(g: int, n: int, max_edges: int,
                             min_edges: int | None = None) -> list[DecoratedGraph]:
     """All connected stable dual graphs of arithmetic genus ``g`` with markings
@@ -523,15 +580,8 @@ def enumerate_stable_graphs(g: int, n: int, max_edges: int,
     ``min_edges=0`` explicitly to include the smooth graph alongside the
     degenerate ones.
 
-    Each placement of ``_placed_shapes``, which checks the arguments and
-    applies the ``STRATA_MAX_GRAPHS`` cap (lower levels do not count), gives
-    one graph, searched once for its representative and its place in the
-    sorted output; with n = 0 the shape is the graph.
+    The graphs are the values of ``_listing``: one per placement of
+    ``_placed_shapes``, which checks the arguments and applies the
+    ``STRATA_MAX_GRAPHS`` cap (lower levels do not count).
     """
-    counted = _placed_shapes(g, n, max_edges, min_edges)
-    if n:
-        graphs = [_canonical_search(_placed(shape, p))[:2]
-                  for _, _, shape, placements in counted for p in placements]
-    else:   # a shape of deficit 0 is its own graph, and is searched already
-        graphs = [(form, shape) for _, form, shape, placements in counted if placements]
-    return [canon for _, canon in sorted(graphs)]
+    return list(_listing(g, n, max_edges, min_edges).values())

@@ -225,22 +225,17 @@ def _candidates(graph: DecoratedGraph, labels):
         yield from stream(graph, labels)
 
 
-def _collect(x: TautClass, streams) -> TautClass:
-    """One class holding every candidate of every term of ``x`` in ``streams``."""
-    if x.ambient.max_components != 1:
-        raise SignatureError("the genus-lowering operator expects a connected ambient")
-    labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
-    # signs over 2 times x's numerators lie over 2 * x._den; the candidates of
-    # a valid term on a connected ambient are valid and lie on out
-    pairs = ((cand, num * sign) for form, num in x._terms.items() for stream in streams
-             for cand, sign in stream(x._graphs[form], labels))
-    return TautClass._of(*_merged(out, pairs, 2 * x._den, check=False))
-
-
 def invariance_operator(x: TautClass) -> TautClass:
     """The genus-lowering linear operator: cut + reduce + split, extended linearly.
 
     Maps a class on a connected (g, n) ambient to a class of the same degree
     on the at most 2-component (g-1, n+2) ambient.
     """
-    return _collect(x, tuple(_PARTS.values()))
+    if x.ambient.max_components != 1:
+        raise SignatureError("the genus-lowering operator expects a connected ambient")
+    labels, out = _output_signature(x.ambient.genus, x.ambient.markings)
+    # signs over 2 times x's numerators lie over 2 * x._den; the candidates of
+    # a valid term on a connected ambient are valid and lie on out
+    pairs = ((cand, num * sign) for form, num in x._terms.items()
+             for cand, sign in _candidates(x._graphs[form], labels))
+    return TautClass._of(*_merged(out, pairs, 2 * x._den, check=False))

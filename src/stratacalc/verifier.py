@@ -28,7 +28,6 @@ as not checked, and the run does not pass.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -36,12 +35,9 @@ from .classes import AmbientSignature, TautClass, _merged
 from .errors import SizeGuardError
 from .graphs import (
     DecoratedGraph,
-    _canonical_search,
-    _placed,
-    _placed_shapes,
-    _sorted_edges,
+    _decorations,
+    _listing,
     canonicalize,
-    compositions,
     disjoint_union,
     single_vertex,
 )
@@ -52,7 +48,6 @@ from .pushforward import (
     faber_constant,
     forget_pushforward,
 )
-from .serialize import dumps
 
 _MAX_K = 3
 _MAX_G = 30
@@ -62,22 +57,10 @@ _RECURSION_BUDGET = 64
 
 # ---------------------------------------------------------------- generators
 
-def _partitions(d: int, max_part: int | None = None):
-    """Multisets of integers >= 1 summing to d, as nonincreasing tuples."""
-    if max_part is None:
-        max_part = d
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, max_part), 0, -1):
-        for rest in _partitions(d - first, first):
-            yield (first,) + rest
-
-
 def generator_monomials(g: int, n: int, k: int) -> list[InteriorMonomial]:
     """Every kappa^I psi^J of total degree k on (g, n), sorted: the monomials
-    of the degree-k decorations (``_decorations``) of the smooth graph with
-    markings 1..n, as the boundary generators are those of the boundary
+    of the degree-k decorations (``graphs._decorations``) of the smooth graph
+    with markings 1..n, as the boundary generators are those of the boundary
     graphs."""
     if not 0 <= k <= g // 3:
         raise ValueError(f"k must lie in 0..floor(g/3) = {g // 3}, got {k}")
@@ -88,15 +71,10 @@ def generator_monomials(g: int, n: int, k: int) -> list[InteriorMonomial]:
 
 
 def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
-    """Every decorated stable graph of total degree k with >= 1 edge, canonical.
-
-    Decorations range over all kappa/psi placements of degree k - #edges, on
-    the placed graphs of ``graphs._placed_shapes`` (the enumeration's checks
-    and cap) at levels 1..k, each decoration searched once; a placed graph
-    with k edges is its own only decoration, and at n = 0 its shape's search
-    serves.  Decorating commutes with relabelling, and a representative is a
-    function of its form, so that equals decorating the representatives.
-    """
+    """Every decorated stable graph of total degree k with >= 1 edge, canonical:
+    all kappa/psi placements of degree k - #edges on the graphs with 1..k
+    edges, listed by the enumeration's walk, ``graphs._listing``, with its
+    checks and cap."""
     return list(_boundary_listing(g, n, k).values())
 
 
@@ -106,35 +84,7 @@ def _boundary_listing(g: int, n: int, k: int) -> dict[bytes, DecoratedGraph]:
         raise ValueError("boundary generators need k >= 1")
     if k > _MAX_K:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
-    found: dict[bytes, DecoratedGraph] = {}
-    for e, shape_form, shape, placements in _placed_shapes(g, n, k, 1):
-        if e == k and not n:    # a shape of deficit 0 is its own graph, and is searched already
-            if placements:
-                found[shape_form] = shape
-            continue
-        for p in placements:
-            placed = _placed(shape, p)
-            for cand in _decorations(placed, k - e) if e < k else (placed,):
-                form, canon, _ = _canonical_search(cand)
-                found[form] = canon
-    return {f: found[f] for f in sorted(found)}
-
-
-def _decorations(base: DecoratedGraph, d: int):
-    """Yield every placement of kappa/psi decorations of total degree ``d`` on
-    the undecorated graph ``base``, in normal form."""
-    V, L, E = base.n_vertices, len(base.legs), base.n_edges
-    # kappa multisets of each degree, as sorted tuples
-    kappas = [[part[::-1] for part in _partitions(a)] for a in range(d + 1)]
-    for alloc in compositions(d, V + L + 2 * E):
-        v_amt = alloc[:V]
-        leg_amt = alloc[V:V + L]
-        end_amt = alloc[V + L:]
-        legs = tuple((v, m, leg_amt[i]) for i, (v, m, _) in enumerate(base.legs))
-        edges = _sorted_edges((v1, end_amt[2 * i], v2, end_amt[2 * i + 1])
-                              for i, (v1, _, v2, _) in enumerate(base.edges))
-        for kappa in itertools.product(*[kappas[a] for a in v_amt]):
-            yield DecoratedGraph._of(base.genera, legs, edges, kappa)
+    return _listing(g, n, k, degree=k)
 
 
 # ------------------------------------------------------------------ witnesses
@@ -411,9 +361,6 @@ class VerificationReport(namedtuple(
             obj["not_checked"] = [{"g": g, "n": n, "k": k, "reason": why}
                                   for g, n, k, why in self.not_checked]
         return obj
-
-    def to_json(self) -> str:
-        return dumps(self.to_obj())
 
     def to_text(self) -> str:
         lines = [

@@ -28,9 +28,7 @@ from stratacalc import (
     split_vertices,
 )
 from stratacalc.invariance import (
-    _PARTS,
     _candidates,
-    _collect,
     _cut_candidates,
     _output_signature,
     _reach,
@@ -54,8 +52,16 @@ def cls(ambient, *terms):
 
 
 def parts(x):
-    """The cut, reduce and split parts of the operator image of ``x``."""
-    return {name: _collect(x, (stream,)) for name, stream in _PARTS.items()}
+    """The cut, reduce and split parts of the operator image of ``x``, each
+    the sum of its coefficient times the part of each term of ``x``."""
+    _, out = _output_signature(x.ambient.genus, x.ambient.markings)
+    by_name = {}
+    for name, part in (("cut", cut_edges), ("reduce", reduce_genus),
+                       ("split", split_vertices)):
+        by_name[name] = TautClass(out)
+        for _, graph, coeff in x.items():
+            by_name[name] = by_name[name] + coeff * part(graph)
+    return by_name
 
 
 # -------------------------------------------------------------------- cutting

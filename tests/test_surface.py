@@ -108,3 +108,22 @@ def test_import_generates_no_code():
     done = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_src_modules_use_every_import():
+    """Every name that a module of the package imports is used in it, as a
+    name or the root of an attribute; ``__init__`` re-exports its imports,
+    and ``from __future__`` imports are directives."""
+    modules = sorted((ROOT / "src" / "stratacalc").glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = _parsed(path)
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

@@ -30,6 +30,7 @@ from stratacalc import (
 )
 from stratacalc import graphs, pushforward, verifier
 from stratacalc.invariance import _candidates, _reach
+from stratacalc.serialize import dumps
 
 from oracles import (
     boundary_generators_reference,
@@ -132,30 +133,35 @@ def test_boundary_generators_match_decorated_degeneration_oracle():
 
 
 def test_boundary_generators_search_each_decorated_candidate_once(monkeypatch):
-    """At (2,5,2) the search cache misses once per shape candidate and once
-    per decoration of a placed graph: 862 misses for 842 forms and 12 shapes,
-    where decorating the enumerated representatives missed 1,041 times.  No
-    marked graph below degree k is searched: a placed graph with fewer than
-    k edges is only decorated."""
-    searched = []
+    """The search cache misses once per shape candidate and once per
+    decoration of a placed graph.  At (2,5,2): 862 misses for 842 forms and
+    12 shapes, where decorating the enumerated representatives missed 1,041
+    times.  At (9,0,3): 684 misses for 360 forms, as a shape with k edges is
+    its own only graph and decoration, searched already; searching its
+    representative again makes 741.  No graph below degree k is searched
+    but the shapes: a placed graph with fewer than k edges is only
+    decorated."""
     real = graphs._canonical_search
+    for (g, n, k), forms, shape_count, want in (((2, 5, 2), 842, 12, 862),
+                                                ((9, 0, 3), 360, 186, 684)):
+        searched = []
 
-    def recording(g):
-        searched.append(g)
-        return real(g)
+        def recording(G):
+            searched.append(G)
+            return real(G)
 
-    real.cache_clear()
-    monkeypatch.setattr(graphs, "_canonical_search", recording)
-    monkeypatch.setattr(verifier, "_canonical_search", recording)
-    found = boundary_generators(2, 5, 2)
-    monkeypatch.undo()
-    misses = real.cache_info().misses
-    shapes = {real(DecoratedGraph(G.genera, (), [(v1, 0, v2, 0) for v1, _, v2, _ in G.edges]))[0]
-              for G in enumerate_stable_graphs(2, 5, 2, 0)}
-    assert len(found) == 842 and len(shapes) == 12
-    assert misses == len(set(searched)) <= len(found) + 2 * len(shapes)
-    marked = [G for G in searched if G.legs]
-    assert marked and all(G.degree() == 2 for G in marked)
+        real.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "_canonical_search", recording)
+            found = boundary_generators(g, n, k)
+        misses = real.cache_info().misses
+        shapes = {real(DecoratedGraph(G.genera, (),
+                                      [(v1, 0, v2, 0) for v1, _, v2, _ in G.edges]))[0]
+                  for G in enumerate_stable_graphs(g, n, k, 0)}
+        assert len(found) == forms and len(shapes) == shape_count, (g, n, k)
+        assert misses == len(set(searched)) == want <= len(found) + 2 * len(shapes)
+        dressed = [G for G in searched if G.legs or G.degree() > G.n_edges]
+        assert dressed and all(G.degree() == k for G in dressed), (g, n, k)
 
 
 # ----------------------------------------------------------------- witnesses
@@ -283,8 +289,8 @@ def test_verify_structural_argument_recorded():
 
 
 def test_verify_reports_are_byte_identical():
-    a = verify_witness_independence(6, 1, 1).to_json()
-    b = verify_witness_independence(6, 1, 1).to_json()
+    a = dumps(verify_witness_independence(6, 1, 1).to_obj())
+    b = dumps(verify_witness_independence(6, 1, 1).to_obj())
     assert a == b
 
 
