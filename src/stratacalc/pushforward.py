@@ -14,6 +14,13 @@ an (g, n) ambient to (g, n-1) follows three exact rules:
 
 An index-0 kappa is never stored; whenever the rules would produce one it is
 immediately converted to the scalar 2g - 2 + n of the target space.
+
+So the image of kappa^I psi_p^b depends only on (I, b, kappa_0 of the
+target): it is one row of ``(kappa', factor)`` pairs, equal kappa' summed,
+and the other psi factors pass through.  Each row, and the splits of each
+kappa part, is tabulated once per process in a bounded cache.  No factor in a
+row cancels to zero: each adds up counts of index subsets (> 0), times kappa_0
+(> 0 on a stable target) where b = 1, so a row needs no zero check.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 from operator import index
 
@@ -147,20 +155,34 @@ class InteriorClass(_LinearCombination):
         return f"InteriorClass(g={self.g}, n={self.n}: {body})"
 
 
-def _kappa_splits(x: InteriorClass) -> dict:
-    """Map each kappa part of ``x`` to its splits ``(kept, moved, count, ways)``:
-    for each sub-multiset taken out, the kept factors (sorted), the index sum and
+@lru_cache(maxsize=1 << 12)
+def _splits(kappa: tuple[int, ...]) -> tuple:
+    """The splits ``(kept, moved, count, ways)`` of one kappa part: for each
+    sub-multiset taken out, the kept factors (sorted), the index sum and
     number of the factors taken, and the number of index subsets taking them."""
-    out = {}
-    for kappa in {mono.kappa for mono in x._terms}:
-        distinct = sorted(Counter(kappa).items())
-        out[kappa] = [
-            (tuple(k for (k, mult), t in zip(distinct, picks) for _ in range(mult - t)),
-             sum(k * t for (k, _), t in zip(distinct, picks)),
-             sum(picks),
-             prod(comb(mult, t) for (_, mult), t in zip(distinct, picks)))
-            for picks in itertools.product(*(range(mult + 1) for _, mult in distinct))]
-    return out
+    distinct = sorted(Counter(kappa).items())
+    return tuple(
+        (tuple(k for (k, mult), t in zip(distinct, picks) for _ in range(mult - t)),
+         sum(k * t for (k, _), t in zip(distinct, picks)),
+         sum(picks),
+         prod(comb(mult, t) for (_, mult), t in zip(distinct, picks)))
+        for picks in itertools.product(*(range(mult + 1) for _, mult in distinct)))
+
+
+@lru_cache(maxsize=1 << 14)
+def _forget_row(kappa: tuple[int, ...], base: int, kappa0: int) -> tuple:
+    """The row of kappa^I psi_p^b, I = ``kappa`` and b = ``base``, forgetting
+    p onto a target whose scalar kappa_0 is ``kappa0``: its image as
+    ``(kappa', factor)`` pairs with distinct kappa'."""
+    row = {}
+    for kept, moved, _, ways in _splits(kappa):
+        b = base + moved
+        if b == 1:
+            row[kept] = row.get(kept, 0) + ways * kappa0
+        elif b:
+            out = tuple(sorted(kept + (b - 1,)))
+            row[out] = row.get(out, 0) + ways
+    return tuple(row.items())
 
 
 def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
@@ -175,20 +197,20 @@ def forget_pushforward(x: InteriorClass, p: int) -> InteriorClass:
     if 2 * g - 2 + (n - 1) <= 0:
         raise SignatureError(f"target ambient ({g},{n - 1}) is unstable")
     kappa0 = 2 * g - 2 + (n - 1)
-    splits = _kappa_splits(x)
 
     def terms():
         for mono, num in x._terms.items():
-            base = dict(mono.psi).get(p, 0)
-            passthrough = tuple((m - 1 if m > p else m, e)
-                                for m, e in mono.psi if m != p)
-            for kept, moved, _, ways in splits[mono.kappa]:
-                b = base + moved
-                if b == 1:
-                    yield InteriorMonomial._of(kept, passthrough), num * ways * kappa0
-                elif b:
-                    kappa = tuple(sorted(kept + (b - 1,)))
-                    yield InteriorMonomial._of(kappa, passthrough), num * ways
+            base, passthrough = 0, []
+            for m, e in mono.psi:
+                if m < p:
+                    passthrough.append((m, e))
+                elif m > p:
+                    passthrough.append((m - 1, e))
+                else:
+                    base = e
+            passthrough = tuple(passthrough)
+            for kappa, factor in _forget_row(mono.kappa, base, kappa0):
+                yield InteriorMonomial._of(kappa, passthrough), num * factor
 
     return InteriorClass._of(g, n - 1, *_summed(x._den, terms()))
 
@@ -204,13 +226,12 @@ def pullback_lift(y: InteriorClass, p: int) -> InteriorClass:
     g, n = y.g, y.n + 1
     if not 1 <= p <= n:
         raise SignatureError(f"marking {p} is not in 1..{n}")
-    splits = _kappa_splits(y)
 
     def terms():
         for mono, num in y._terms.items():
             below = tuple((m, e) for m, e in mono.psi if m < p)
             above = tuple((m + 1, e) for m, e in mono.psi if m >= p)
-            for kept, moved, count, ways in splits[mono.kappa]:
+            for kept, moved, count, ways in _splits(mono.kappa):
                 psi = below + ((p, moved),) + above if moved else below + above
                 yield InteriorMonomial._of(kept, psi), -num * ways if count % 2 else num * ways
 

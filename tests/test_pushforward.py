@@ -8,6 +8,7 @@ from math import factorial, lcm
 
 import pytest
 
+from stratacalc import pushforward
 from stratacalc import (
     InteriorClass,
     InteriorMonomial,
@@ -270,6 +271,55 @@ def test_expansions_match_reference(g, n, k):
             raised = [(_times_psi(m, p), c) for m, c in lifted.items()]
             assert psi_p == InteriorClass(g, n + 1, raised)
             _assert_normal(psi_p)
+
+
+def _per_kappa_sample(rng, g, n, k, per_kappa=6):
+    """Up to ``per_kappa`` generators of each kappa part, seeded, as the
+    benchmark's push/pull items draw them."""
+    by_kappa = {}
+    for mono in generator_monomials(g, n, k):
+        by_kappa.setdefault(mono.kappa, []).append(mono)
+    return InteriorClass(g, n, [
+        (mono, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+        for kappa in sorted(by_kappa)
+        for mono in rng.sample(by_kappa[kappa], min(per_kappa, len(by_kappa[kappa])))])
+
+
+@pytest.mark.parametrize("g,n,k", [(30, 6, 6), (24, 8, 5)])
+def test_tabulated_rows_match_reference(g, n, k):
+    """The rows tabulated per kappa part give the reference's classes at every
+    marking, on the benchmark's push/pull ambients; pushing ``psi_p`` times a
+    lift also reads the rows where the psi_p power and a moved kappa merge."""
+    y = _per_kappa_sample(random.Random(f"rows/{g}/{n}/{k}"), g, n, k)
+    for p in range(1, n + 1):
+        assert forget_pushforward(y, p) == forget_pushforward_reference(y, p)
+    for p in range(1, n + 2):
+        lifted = pullback_lift(y, p)
+        assert lifted == pullback_lift_reference(y, p)
+        raised = lifted.mul_psi(p)
+        assert forget_pushforward(raised, p) == forget_pushforward_reference(raised, p)
+
+
+@pytest.mark.parametrize("first,second", [((3, 2), (5, 2)), ((5, 2), (3, 2))])
+def test_rows_are_keyed_by_the_target_kappa0(first, second):
+    """One monomial pushed from two ambients whose targets have different
+    kappa_0, from a cold cache in either order: a row read back for the
+    second ambient must not carry the first one's kappa_0."""
+    pushforward._forget_row.cache_clear()
+    mono = InteriorMonomial((1, 1), {1: 1, 2: 2})
+    for g, n in (first, second):
+        x = ic(g, n, (mono, 1))
+        assert forget_pushforward(x, 1) == forget_pushforward_reference(x, 1)
+
+
+def test_merged_rows_sum_their_splits():
+    """Splits reaching the same kappa' add up: kappa_1^2 pushes to
+    2 kappa_0 kappa_1 (one factor moved, two ways) plus kappa_1 (both moved)."""
+    for (g, n), mono, want in [
+            ((3, 1), kappa(1, 1), "9*kappa_1"),
+            ((4, 2), InteriorMonomial((1, 1), {2: 1}), "15*kappa_1*psi_1")]:
+        pushed = forget_pushforward(ic(g, n, (mono, 1)), 1)
+        assert [f"{c}*{m}" for m, c in pushed.items()] == [want]
 
 
 def _rebuilt(g, n, *signed):
