@@ -7,7 +7,6 @@ All numeric output is exact fraction strings; nothing here is randomized.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -176,7 +175,7 @@ def main(argv=None) -> int:
     except (InvalidGraphError, SignatureError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:   # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,13 +113,6 @@ class DecoratedGraph(namedtuple("DecoratedGraph", "genera legs edges kappa")):
     def markings(self) -> tuple[int, ...]:
         return tuple([m for _, m, _ in self.legs])   # the legs are in marking order
 
-    def psi_of_marking(self, marking: int) -> int:
-        """Psi exponent on the leg labelled ``marking``; 0 if there is no such leg."""
-        for _, m, p in self.legs:
-            if m == marking:
-                return p
-        return 0
-
     def degree(self) -> int:
         """Total degree: #edges + sum of psi exponents + sum of kappa indices."""
         return (self.n_edges

@@ -16,6 +16,17 @@ two extra legs labelled i and j:
 Every move keeps the degree (edges plus psi and kappa powers): a cut trades
 its edge for psi^1, and reduce and split add legs with psi^0.
 
+A candidate's shape (``_shape``: edge count, psi on leg i, psi on leg j) lies
+in the shapes ``_reach`` reads off its graph, whence the shape rule: for a
+graph with e >= 1 edges, reduce and split keep all e edges, and a cut leaves
+e - 1 and puts psi >= 1 on leg i or j, so no candidate is bare (``_BARE``: no
+edge, psi^0 on both new legs) and none has a ``_target_key``.  Keyed
+candidates come from the reduce and split moves of an edge-free one-vertex
+graph, each -1/2, and ``_split_rule`` reads their merged coefficient off the
+key (the split rule): -1/2 for the reduce key and -1/2 * prod_a C(m_a, m_a^i)
+for a split key, m_a being the multiplicity of kappa_a and m_a^i its
+multiplicity on the part with leg i.
+
 Each operation is a stream of raw candidates: ``(graph, sign)`` pairs with
 ``sign = +-1`` standing for the coefficient ``sign / 2``, neither
 canonicalized nor merged, whose graphs are valid and in normal form by
@@ -35,6 +46,8 @@ evaluation order because terms merge by canonical form.
 """
 
 from __future__ import annotations
+
+from math import comb, prod
 
 from .classes import AmbientSignature, TautClass, _merged
 from .errors import SignatureError
@@ -130,35 +143,25 @@ def _target_key(graph: DecoratedGraph, labels):
                   tuple([(m, p) for w, m, p in graph.legs if w == v])) for v in order)
 
 
-def _targeted_candidates(graph: DecoratedGraph, labels, targets):
-    """The candidates of ``graph`` whose ``_target_key`` is in ``targets``,
-    each move's parameters read off a key.  Only the reduce and split moves
-    of an edge-free one-vertex graph of genus >= 1 land on a key (a cut puts
-    psi^1 on leg i or j), each with sign -1.  A one-vertex key is
-    the reduce move.  In a two-vertex key, g1 and the legs of the i part fix
-    the genus split and the leg mask, and each kappa mask whose i part sorts
-    to the key's kappa is one split move."""
+def _split_rule(graph: DecoratedGraph, labels, keys):
+    """``(key, numerator over 2)`` for each key in ``keys`` that a move of
+    ``graph`` lands on, read off the key by the split rule with no candidate
+    built.  A two-vertex key is reached when its genera, legs and kappa split
+    the graph's, by one split move for each kappa mask whose i part sorts to
+    the key's kappa on leg i's vertex."""
     if graph.edges or graph.n_vertices > 1 or graph.genera[0] < 1:
         return
     (h,), (kappa,) = graph.genera, graph.kappa
     # the legs of the candidates: the graph's, then the new legs i and j with psi^0
     marks = tuple([(m, p) for _, m, p in graph.legs]) + ((labels[0], 0), (labels[1], 0))
-    if ((h - 1, kappa, marks),) in targets:
-        yield DecoratedGraph._of((h - 1,), tuple([(0, m, p) for m, p in marks]), (),
-                                 graph.kappa), -1
-    for key in sorted(targets):
-        if len(key) != 2:
-            continue
-        (g1, kappa1, legs1), (g2, kappa2, legs2) = key
-        if g1 + g2 != h or tuple(sorted(legs1 + legs2)) != marks \
-                or tuple(sorted(kappa1 + kappa2)) != kappa:
-            continue
-        legs = sorted([(0, m, p) for m, p in legs1] + [(1, m, p) for m, p in legs2],
-                      key=_BY_MARKING)
-        cand = DecoratedGraph._of((g1, g2), tuple(legs), (), (kappa1, kappa2))
-        for mask in range(1 << len(kappa)):
-            if tuple([k for bit, k in enumerate(kappa) if not mask >> bit & 1]) == kappa1:
-                yield cand, -1
+    for key in keys:
+        if key == ((h - 1, kappa, marks),):
+            yield key, -1
+        elif len(key) == 2:
+            (g1, kappa1, legs1), (g2, kappa2, legs2) = key
+            if g1 + g2 == h and tuple(sorted(legs1 + legs2)) == marks \
+                    and tuple(sorted(kappa1 + kappa2)) == kappa:
+                yield key, -prod(comb(kappa.count(a), kappa1.count(a)) for a in set(kappa1))
 
 
 #: Candidate stream of each operation, in the order the operator sums them.
@@ -202,6 +205,18 @@ def split_vertices(graph) -> TautClass:
     canonical merging).  Coefficient -1/2, with psi^0 on legs i and j.
     """
     return _part(graph, _split_candidates)
+
+
+#: Shape of a witness, and of the image terms the structural check flags:
+#: no edge and psi^0 on both new legs.
+_BARE = (0, 0, 0)
+
+
+def _shape(graph: DecoratedGraph, i_lab: int, j_lab: int) -> tuple[int, int, int]:
+    """Edge count and psi exponents on legs i and j (0 where there is no such
+    leg): isomorphism invariants, the triples ``_reach`` gives."""
+    psi = {m: p for _, m, p in graph.legs}
+    return graph.n_edges, psi.get(i_lab, 0), psi.get(j_lab, 0)
 
 
 def _reach(graph: DecoratedGraph) -> set:

@@ -36,6 +36,7 @@ from .classes import (
     AmbientSignature,
     TautClass,
     _LinearCombination,
+    _merged,
     _numerators,
     _summed,
 )
@@ -333,21 +334,21 @@ def taut_to_interior(x: TautClass) -> InteriorClass:
     n = len(marks)
     if marks != tuple(range(1, n + 1)):
         raise SignatureError("interior classes need contiguous markings 1..n")
-    terms = []
-    for _, graph, coeff in x.items():
+    terms = {}
+    for form, num in x._terms.items():
+        graph = x._graphs[form]
         if graph.n_edges or graph.n_vertices != 1:
             raise SignatureError("interior conversion needs single-vertex, edge-free terms")
-        psi = {m: p for _, m, p in graph.legs}
-        terms.append((InteriorMonomial(graph.kappa[0], psi), coeff))
-    return InteriorClass(x.ambient.genus, n, terms)
+        terms[InteriorMonomial._of(graph.kappa[0],
+                                   tuple([(m, p) for _, m, p in graph.legs if p]))] = num
+    # a term's graph makes the ambient stable, so only the zero class checks it
+    return (InteriorClass._of(x.ambient.genus, n, terms, x._den) if terms
+            else InteriorClass(x.ambient.genus, n))
 
 
 def interior_to_taut(x: InteriorClass) -> TautClass:
     """Present an interior class by smooth single-vertex decorated graphs."""
-    marks = range(1, x.n + 1)
-    terms = []
-    for mono, coeff in x.items():
-        psi = mono.psi_dict()
-        graph = single_vertex(x.g, [(m, psi.get(m, 0)) for m in marks], mono.kappa)
-        terms.append((graph, coeff))
-    return TautClass(AmbientSignature(x.g, frozenset(marks)), terms)
+    unmarked = dict.fromkeys(range(1, x.n + 1), 0)
+    pairs = ((single_vertex(x.g, {**unmarked, **dict(mono.psi)}.items(), mono.kappa), num)
+             for mono, num in x._terms.items())
+    return TautClass._of(*_merged(AmbientSignature(x.g, unmarked), pairs, x._den, check=False))

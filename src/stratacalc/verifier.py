@@ -5,13 +5,13 @@ For each degree-k generator monomial the verifier either
 * builds its witness graph (the 2-component, edge-free term that the
   genus-lowering operator produces from that monomial and from no other
   generator), reads the witness coefficient off the operator image of every
-  generator and every degree-k decorated boundary graph, each image built once:
-  a generator's from only the moves that land on a witness, matched by the key
-  a move fixes (``invariance._target_key``), a boundary graph's whole when
-  one of its moves can reach a witness or bare shape and read at those terms
-  only, and nothing at all otherwise (none can for edge-free witnesses with
-  psi^0 on the new legs); and checks the self-coefficient is nonzero while
-  all others vanish ("witness-split"); or
+  generator and every degree-k decorated boundary graph, and checks the
+  self-coefficient is nonzero while all others vanish ("witness-split").  A
+  generator's coefficients are read off the witness keys by the split rule
+  (``invariance._split_rule``), no graph built.  A boundary graph's image is
+  built once, when a move can reach a witness or bare shape
+  (``invariance._reach``), and read at those terms only; by the shape rule
+  none can for edge-free witnesses with psi^0 on the new legs; or
 * routes it to the kappa-nonvanishing computation ("proposition1"); or
 * routes it to the forgetful-pushforward linear system ("pushforward-system").
 
@@ -41,7 +41,8 @@ from .graphs import (
     disjoint_union,
     single_vertex,
 )
-from .invariance import _candidates, _output_signature, _reach, _target_key, _targeted_candidates
+from .invariance import (_BARE, _candidates, _output_signature, _reach, _shape, _split_rule,
+                         _target_key)
 from .pushforward import (
     InteriorClass,
     InteriorMonomial,
@@ -75,16 +76,11 @@ def boundary_generators(g: int, n: int, k: int) -> list[DecoratedGraph]:
     all kappa/psi placements of degree k - #edges on the graphs with 1..k
     edges, listed by the enumeration's walk, ``graphs._listing``, with its
     checks and cap."""
-    return list(_boundary_listing(g, n, k).values())
-
-
-def _boundary_listing(g: int, n: int, k: int) -> dict[bytes, DecoratedGraph]:
-    """``boundary_generators(g, n, k)`` keyed by canonical form, in form order."""
     if k < 1:
         raise ValueError("boundary generators need k >= 1")
     if k > _MAX_K:
         raise SizeGuardError(f"boundary enumeration is desk-scale (k <= {_MAX_K})")
-    return _listing(g, n, k, degree=k)
+    return list(_listing(g, n, k, degree=k).values())
 
 
 # ------------------------------------------------------------------ witnesses
@@ -390,16 +386,6 @@ class VerificationReport(namedtuple(
 
 # ------------------------------------------------------------------- verifier
 
-#: Shape of a witness, and of the image terms the structural check flags:
-#: no edge and psi^0 on both new legs.
-_BARE = (0, 0, 0)
-
-
-def _shape(graph: DecoratedGraph, i_lab: int, j_lab: int) -> tuple[int, int, int]:
-    """Edge count and psi exponents on legs i and j: isomorphism invariants."""
-    return graph.n_edges, graph.psi_of_marking(i_lab), graph.psi_of_marking(j_lab)
-
-
 def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
                                 witness_overrides=None,
                                 _seen=None) -> VerificationReport:
@@ -418,7 +404,7 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
     if unused:
         raise ValueError(f"witness table names no generator of (g={g}, n={n}, k={k}): "
                          f"{', '.join(map(str, unused))}")
-    listing = _boundary_listing(g, n, k)
+    listing = _listing(g, n, k, degree=k)
     bforms, bgraphs = list(listing), list(listing.values())
     # images are read only at the witnesses and, for the structural check, at
     # bare terms
@@ -431,33 +417,34 @@ def verify_witness_independence(g: int, n: int, k: int, recursive: bool = False,
         if witness is not None:
             shapes.add(_shape(witness_of[mono][2], i_lab, j_lab))
 
-    # the rows are the generator graphs, then the boundary graphs; each row's
-    # image is read once: its terms at a witness form fill that witness's row,
-    # and bare terms of a boundary image are structural violations (boundary
-    # images keep an edge or a psi on the new legs).  A generator image holds
-    # only the witnesses that one of its moves reaches, found by key.
+    # the rows are the generator graphs, then the boundary graphs, each checked
+    # against the input ambient.  A generator row reads its witness
+    # coefficients off their keys by the split rule.  A boundary row's image,
+    # built only when a move can reach a wanted shape, fills the witness rows
+    # at their forms, and its bare terms are structural violations.
     rows = {w[1]: {} for w in witness_of.values() if w is not None}
-    targets = {_target_key(w[2], (i_lab, j_lab)) for w in witness_of.values() if w is not None}
-    targets.discard(None)   # no move of a generator reaches these
-    structural_violations = []
-    gen_graphs = [single_vertex(g, [(m, mono.psi_dict().get(m, 0)) for m in range(1, n + 1)],
-                                mono.kappa) for mono in gens]
+    form_of = {_target_key(w[2], (i_lab, j_lab)): w[1]
+               for w in witness_of.values() if w is not None}
+    form_of.pop(None, None)   # no move of a generator reaches these
     in_amb = AmbientSignature(g, range(1, n + 1))
-    for r, G in enumerate(gen_graphs + bgraphs):
+    for r, mono in enumerate(gens):
+        G = single_vertex(g, [(m, mono.psi_dict().get(m, 0)) for m in range(1, n + 1)],
+                          mono.kappa)
+        in_amb.check(G)
+        for key, num in _split_rule(G, (i_lab, j_lab), form_of):
+            rows[form_of[key]][r] = Fraction(num, 2)
+    structural_violations = []
+    for b, G in enumerate(bgraphs):
         in_amb.check(G)   # by the signature rule, every candidate is on out_amb
-        boundary = r >= len(gens)
-        if not boundary:
-            image = _targeted_candidates(G, (i_lab, j_lab), targets)
-        elif _reach(G).isdisjoint(shapes):
+        if _reach(G).isdisjoint(shapes):
             continue   # most boundary rows: no move reaches a wanted shape
-        else:
-            image = _candidates(G, (i_lab, j_lab))
+        image = _candidates(G, (i_lab, j_lab))
         for form, graph, coeff in TautClass._of(*_merged(out_amb, image, 2)).items():
             if form in rows:
-                rows[form][r] = coeff
-            if boundary and _shape(graph, i_lab, j_lab) == _BARE:
+                rows[form][len(gens) + b] = coeff
+            if _shape(graph, i_lab, j_lab) == _BARE:
                 structural_violations.append(
-                    f"image term of boundary graph {bforms[r - len(gens)].hex()[:16]} "
+                    f"image term of boundary graph {bforms[b].hex()[:16]} "
                     f"has no edge and psi^0 on both new legs")
 
     system_cache: SystemReport | None = None

@@ -58,11 +58,11 @@ from stratacalc.graphs import (
 from stratacalc.invariance import (
     _PARTS,
     _output_signature,
+    _shape,
     invariance_operator,
 )
 from stratacalc.pushforward import InteriorClass, InteriorMonomial
 from stratacalc.verifier import (
-    _shape,
     boundary_generators,
     generator_monomials,
     witness_graph_for,

@@ -292,6 +292,15 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith("invalid input: malformed ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("r1", "--in"), ("push", "--forget", 1, "--in"),
+                                  ("verify", "--g", 6, "--n", 0, "--k", 1, "--witness-table")])
+def test_input_file_that_is_not_json_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "in.json"
+    path.write_text("not json\n")
+    assert run(*argv, path) == 2
+    assert capsys.readouterr().err == "error: Expecting value: line 1 column 1 (char 0)\n"
+
+
 BAD_PSI_KEYS = ["1_0", " 2", "+1", "01", "\u0661", "0", "-1", "1.0", ""]
 
 

@@ -28,14 +28,17 @@ from stratacalc import (
     split_vertices,
 )
 from stratacalc.invariance import (
+    _BARE,
     _candidates,
     _cut_candidates,
     _output_signature,
     _reach,
     _reduce_candidates,
+    _shape,
     _split_candidates,
+    _target_key,
 )
-from stratacalc.verifier import _shape, boundary_generators
+from stratacalc.verifier import boundary_generators
 
 from oracles import (
     assert_normal_form,
@@ -452,6 +455,28 @@ def test_each_row_has_one_shape_gate():
         assert list(_candidates(graph, labels)) == full
         total += len(full)
     assert total > 90_000
+
+
+def test_no_candidate_of_a_graph_with_an_edge_is_bare_or_keyed():
+    """The shape rule: for a graph with e >= 1 edges, reduce and split keep
+    all e edges, and a cut leaves e - 1 and puts psi >= 1 on leg i or j.  So
+    no candidate of a boundary generator, or of a seeded graph with one to
+    three edges, is bare or has a ``_target_key``: only a generator row
+    reaches a witness key, by the split rule."""
+    graphs = [G for instance in ((6, 2, 2), (6, 3, 1), (9, 0, 3), (4, 4, 2), (2, 5, 2),
+                                 (12, 1, 2))
+              for G in boundary_generators(*instance)]
+    rng = random.Random("shape-rule")
+    seeded = (random_decorated_graph(rng) for _ in itertools.count())
+    graphs += itertools.islice((G for G in seeded if 1 <= G.n_edges <= 3), 300)
+    total = 0
+    for graph in graphs:
+        labels, _ = _output_signature(arithmetic_genus(graph), graph.markings())
+        for cand, _ in _candidates(graph, labels):
+            assert _shape(cand, *labels) != _BARE, (graph, cand)
+            assert _target_key(cand, labels) is None, (graph, cand)
+            total += 1
+    assert len(graphs) > 2_500 and total > 140_000, (len(graphs), total)
 
 
 def _signature_inputs():

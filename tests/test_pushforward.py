@@ -501,6 +501,7 @@ def test_interior_to_taut_builds_one_class():
         for mono, coeff in x.items():
             summed = summed + coeff * monomial_class(g, n, mono.kappa, mono.psi_dict())
         assert interior_to_taut(x) == summed
+        assert taut_to_interior(summed) == x
         zero = interior_to_taut(InteriorClass(g, n))
         assert zero.is_zero and zero.ambient == monomial_class(g, n).ambient
 

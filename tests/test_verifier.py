@@ -29,7 +29,7 @@ from stratacalc import (
     witness_graph_for,
 )
 from stratacalc import graphs, pushforward, verifier
-from stratacalc.invariance import _candidates, _reach
+from stratacalc.invariance import _BARE, _candidates, _reach, _shape, _target_key
 from stratacalc.serialize import dumps
 
 from oracles import (
@@ -245,6 +245,10 @@ PSI_WITNESS = disjoint_union(single_vertex(5, [(1, 1)]),
 EDGE_WITNESS = DecoratedGraph((4, 1, 1), ((0, 1, 0), (2, 2, 0)), ((0, 0, 1, 0),))
 # One vertex: the reduce image of kappa_1.
 REDUCE_WITNESS = single_vertex(5, [(1, 0), (2, 0)], (1,))
+# Genera 4 + 1: the legs and kappa of kappa_1 split, but not its genus 6, so no
+# move of kappa_1 gives it.
+GENUS_WITNESS = disjoint_union(single_vertex(4, [(1, 0)], (1,)),
+                               single_vertex(1, [(2, 0)]))
 
 def test_verify_basic_instance():
     rep = verify_witness_independence(6, 0, 1)
@@ -521,7 +525,7 @@ def test_targeted_extraction_matches_full_image(g, n, k):
 
 
 @pytest.mark.parametrize("witness", [ALT_WITNESS, BOGUS_WITNESS, PSI_WITNESS,
-                                     EDGE_WITNESS, REDUCE_WITNESS])
+                                     EDGE_WITNESS, REDUCE_WITNESS, GENUS_WITNESS])
 def test_targeted_extraction_matches_full_image_with_overrides(witness):
     overrides = {mono((1,)): witness}
     rep = verify_witness_independence(6, 0, 1, witness_overrides=overrides)
@@ -542,8 +546,7 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
     ambient = AmbientSignature(g, range(1, n + 1))
     out = AmbientSignature(g - 1, frozenset(range(1, n + 3)), 2)
     witnesses = (witness_graph_for(m, g, n) for m in generator_monomials(g, n, k))
-    witness_shapes = {verifier._BARE} | {verifier._shape(w, i_lab, j_lab)
-                                         for w in witnesses if w is not None}
+    witness_shapes = {_BARE} | {_shape(w, i_lab, j_lab) for w in witnesses if w is not None}
     # psi^2 or psi^1 on both new legs: a cut of the one edge, with psi on an
     # end; one edge left: a cut of two; two edges: a reduce or split
     hard = ({(0, 2, 0)}, {(0, 0, 2)}, {(0, 1, 1)}, {(1, 1, 0)}, {(2, 0, 0)})
@@ -554,7 +557,7 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
             stream = [] if _reach(G).isdisjoint(shapes) else _candidates(G, (i_lab, j_lab))
             image = TautClass(out, ((cand, Fraction(sign, 2)) for cand, sign in stream))
             got = TautClass(out, [(graph, c) for _, graph, c in image.items()
-                                  if verifier._shape(graph, i_lab, j_lab) in shapes])
+                                  if _shape(graph, i_lab, j_lab) in shapes])
             assert got == targeted_image_reference(G, out, shapes, i_lab, j_lab)
             terms[frozenset(shapes)] += len(got)
     assert sum(terms.values()) > 0
@@ -564,20 +567,32 @@ def test_shape_filtered_boundary_images_match_targeted_reference(g, n, k):
 
 def _inject(monkeypatch, target, extras):
     """Append ``extras``, ``(graph, sign)`` pairs whose coefficient is ``sign /
-    2`` as in the stream, to the verifier's candidate stream of ``target``,
-    a generator row's targeted one or a boundary row's full one.  A boundary
-    ``target`` also reaches the bare shape, so it passes the gate and its
-    image, extras included, is built and checked."""
-    for name in ("_candidates", "_targeted_candidates"):
-        def stream(graph, *args, real=getattr(verifier, name)):
-            yield from real(graph, *args)
-            if graph == target:
-                yield from extras
+    2`` as in the stream, to the verifier's candidate stream of the boundary
+    row ``target``.  It also reaches the bare shape, so it passes the gate and
+    its image, extras included, is built and checked."""
+    def stream(graph, labels, real=verifier._candidates):
+        yield from real(graph, labels)
+        if graph == target:
+            yield from extras
 
-        monkeypatch.setattr(verifier, name, stream)
+    monkeypatch.setattr(verifier, "_candidates", stream)
     real_reach = verifier._reach
     monkeypatch.setattr(verifier, "_reach", lambda graph: real_reach(graph)
-                        | ({verifier._BARE} if graph == target else set()))
+                        | ({_BARE} if graph == target else set()))
+
+
+def _inject_split_rule(monkeypatch, target, extras):
+    """Add the signs of ``extras``, keyed graphs as ``(graph, sign)`` pairs, to
+    the numerators the split rule gives the generator row ``target`` at their
+    keys, which the rule must reach already."""
+    def rule(graph, labels, keys, real=verifier._split_rule):
+        extra = Counter()
+        for cand, sign in extras if graph == target else ():
+            extra[_target_key(cand, labels)] += sign
+        for key, num in real(graph, labels, keys):
+            yield key, num + extra[key]
+
+    monkeypatch.setattr(verifier, "_split_rule", rule)
 
 
 # bare (edge-free, psi^0 on i and j) terms on the (5, {1, 2}) output ambient of
@@ -595,8 +610,8 @@ KAPPA1_WITNESS_SWAPPED = disjoint_union(single_vertex(1, [(2, 0)]),
     ([(BARE, 1), (BARE_SWAPPED, 1)], 1, False),
     ([(BARE, 1), (BARE_SWAPPED, -1)], 0, False),
     ([(KAPPA1_WITNESS, 1), (KAPPA1_WITNESS_SWAPPED, 3)], 1, False),
-    # into the image of the kappa_1 generator: its self coefficient moves, and
-    # bare terms of a generator image are no structural violation
+    # into the split rule of the kappa_1 generator, at its witness's key: its
+    # self coefficient moves, and a generator row has no structural check
     ([(KAPPA1_WITNESS, 1), (KAPPA1_WITNESS_SWAPPED, 3)], 0, True),
 ], ids=["extras0-1", "extras1-1", "extras2-0", "extras3-1", "generator-extras3-0"])
 def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural,
@@ -607,7 +622,7 @@ def test_injected_candidates_match_full_image(monkeypatch, extras, n_structural,
     # the smooth kappa_1 graph is its own canonical graph
     target = (single_vertex(g, kappa=(1,)) if into_generator
               else boundary_generators(g, n, k)[0])
-    _inject(monkeypatch, target, extras)
+    (_inject_split_rule if into_generator else _inject)(monkeypatch, target, extras)
     rep = verify_witness_independence(g, n, k)
     assert len(rep.structural_violations) == n_structural
     assert rep.structural_ok == (n_structural == 0)
@@ -631,21 +646,12 @@ def test_candidate_off_the_ambient_raises_even_when_filtered_out(monkeypatch):
         verify_witness_independence(6, 0, 1)
 
 
-def test_candidate_off_the_ambient_raises_in_a_targeted_generator_stream(monkeypatch):
-    # a generator row builds only the moves that land on a witness, yet the
-    # class built from its stream still checks each distinct form it is given
-    stray = single_vertex(6, [(1, 1), (2, 0)])
-    _inject(monkeypatch, single_vertex(6, kappa=(1,)), [(stray, 1)])
-    with pytest.raises(SignatureError, match="arithmetic genus 6"):
-        verify_witness_independence(6, 0, 1)
-
-
 def test_candidate_that_repeats_a_marking_raises(monkeypatch):
     # legs carrying marking 1 twice have the ambient's marking set (1, 2),
     # yet each ambient marking must appear exactly once; a stream builds its
     # candidates unvalidated, so only the merge's check can catch this
     stray = DecoratedGraph._of((5,), ((0, 1, 0), (0, 1, 0), (0, 2, 0)), (), ((),))
-    _inject(monkeypatch, single_vertex(6, kappa=(1,)), [(stray, 1)])
+    _inject(monkeypatch, boundary_generators(6, 0, 1)[-1], [(stray, 1)])
     with pytest.raises(SignatureError) as exc:
         verify_witness_independence(6, 0, 1)
     assert str(exc.value) == "graph markings (1, 1, 2) differ from ambient (1, 2)"
@@ -667,10 +673,10 @@ def test_boundary_row_off_the_ambient_raises_though_it_builds_no_move(
         monkeypatch, stray, message):
     # the row's moves all keep an edge or put psi on leg i or j, so none
     # reaches a witness or a bare term, yet its signature is still checked
-    assert _reach(stray).isdisjoint({verifier._BARE})
-    real = verifier._boundary_listing
-    monkeypatch.setattr(verifier, "_boundary_listing",
-                        lambda g, n, k: {**real(g, n, k), canonical_form(stray): stray})
+    assert _reach(stray).isdisjoint({_BARE})
+    real = verifier._listing
+    monkeypatch.setattr(verifier, "_listing", lambda *instance, **degree: {
+        **real(*instance, **degree), canonical_form(stray): stray})
     with pytest.raises(SignatureError) as exc:
         verify_witness_independence(6, 0, 1)
     assert str(exc.value) == message
@@ -710,7 +716,7 @@ def _generator_rows(monkeypatch, g, n, k):
     a witness's self and generator coefficients are read off the generator
     rows alone, so the sweeps below reach (12, 8, 3) without enumerating its
     boundary graphs."""
-    monkeypatch.setattr(verifier, "_boundary_listing", lambda *instance: {})
+    monkeypatch.setattr(verifier, "_listing", lambda *instance, **degree: {})
     return [e for e in verify_witness_independence(g, n, k).entries
             if e.branch == "witness-split"]
 
@@ -741,8 +747,9 @@ def _split_moves(g, n, k):
 
 def test_targeted_generator_rows_match_the_full_stream(monkeypatch):
     """On every generator and witness pair of a seeded sample of the in-range
-    instances, the coefficient the targeted row reads equals the one read off
-    the generator's full stream, every candidate built and checked.  An
+    instances, the coefficient the generator row reads by the split rule
+    equals the one read off the generator's full stream, every candidate
+    built and checked.  An
     instance whose full streams exceed 10,000 split moves is left to the
     closed-form sweep, as the reference canonicalizes every candidate."""
     cheap = [inst for inst in IN_RANGE if _split_moves(*inst) <= 10_000]
@@ -753,7 +760,7 @@ def test_targeted_generator_rows_match_the_full_stream(monkeypatch):
         monos = {str(m): m for m in generator_monomials(g, n, k)}
         full = {s: targeted_image_reference(
                     single_vertex(g, [(l, m.psi_dict().get(l, 0)) for l in range(1, n + 1)],
-                                  m.kappa), out, {verifier._BARE}, i_lab, j_lab)
+                                  m.kappa), out, {_BARE}, i_lab, j_lab)
                 for s, m in monos.items()}
         for entry in _generator_rows(monkeypatch, g, n, k):
             witness = witness_graph_for(monos[entry.monomial], g, n)
