@@ -25,13 +25,15 @@ orderings that tie for the least encoding.  Enumeration uses them to place
 markings on unmarked shapes once per isomorphism class.  One walk over the
 placed graphs, ``_listing``, lists both the enumeration and the boundary
 generators of ``verifier``: it searches each shape once, and each placed
-graph or each of its decorations once.  Refinement almost always ends
-discrete, leaving one ordering: measured searches try 1.000 to 1.12
-orderings each (227 searches and 235 orderings for verify (6,2,2), 15,070
-and 15,325 for the boundary generators of (9,3,3), 684 and 750 for
-enumeration and boundary generators at (9,0,3)).  A search therefore costs
-its fixed per-graph work, which is what the code here keeps small, and not
-its branching.
+graph or each of its decorations once.  Most searches need no refinement:
+when the initial colors (genus, kappa, legs, edge-end count) are discrete,
+the search takes one pass, sorting the vertices by them and relabelling the
+graph once unless that order is the identity.  They are discrete for all
+4,625 searches of the operator-algebra benchmark, 398 of verify-ladder's 413
+and 2,835 of enumerate-ladder's 3,002 (one process per item, seed 1); the
+rest try 30 and 288 orderings.  A search therefore costs its fixed
+per-graph work, which is what the code here keeps small, and not its
+branching.
 """
 
 from __future__ import annotations
@@ -253,22 +255,24 @@ def _dense_ranks(keys):
     return [ranks[k] for k in keys]
 
 
-def _candidate_orders(g: DecoratedGraph):
+def _end_counts(g: DecoratedGraph) -> list[int]:
+    """Per vertex, its number of edge ends; a self-loop counts twice."""
+    ends = [0] * len(g.genera)
+    for v1, _, v2, _ in g.edges:
+        ends[v1] += 1
+        ends[v2] += 1
+    return ends
+
+
+def _candidate_orders(g: DecoratedGraph, base: list):
     """Vertex orders that list the vertices by isomorphism-invariant color:
-    static data (genus, kappa, legs, edge-end count) refined along incidence,
-    then every order within each color class."""
+    the initial colors ``base`` (genus, kappa, legs, edge-end count) refined
+    along incidence, then every order within each color class."""
     V = len(g.genera)
-    legs_at = [[] for _ in range(V)]       # in marking order, as the legs are
-    for v, m, p in g.legs:
-        legs_at[v].append((m, p))
     incident = [[] for _ in range(V)]      # v -> [(own psi, other vertex, other psi)]
     for v1, p1, v2, p2 in g.edges:
         incident[v1].append((p1, v2, p2))
         incident[v2].append((p2, v1, p1))
-    base = list(zip(g.genera, g.kappa, map(tuple, legs_at), map(len, incident)))
-    if len(set(base)) == V:
-        # discrete already, and refinement keeps a discrete coloring
-        return [tuple(sorted(range(V), key=base.__getitem__))]
     colors = _dense_ranks(base)
     while True:
         new = _dense_ranks([(colors[v], tuple(sorted((p, colors[u], q)
@@ -310,22 +314,38 @@ def _canonical_search(g: DecoratedGraph):
     ``s[v]``: one per further candidate order tied for the least encoding.
     Tied orders differ by a vertex permutation preserving genus, kappa, legs
     and the edge multiset, and every such permutation keeps the refinement
-    colors, so these are all of them; most graphs have none.  The search
-    checks nothing (see ``canonicalize``), and runs on unstable shapes too."""
-    best_key = None
-    for order in _candidate_orders(g):
-        key = _encode_under(g, order)
-        if key == best_key:
-            tied.append(order)
-        elif best_key is None or key < best_key:
-            best_key, best, tied = key, order, []
+    colors, so these are all of them; most graphs have none.  When the
+    initial colors are discrete, the one order sorts them and nothing ties;
+    if that order is the identity, the input is its own representative and
+    the key is read off its fields.  The search checks nothing (see
+    ``canonicalize``), and runs on unstable shapes too."""
+    V = len(g.genera)
+    legs_at = [[] for _ in range(V)]       # in marking order, as the legs are
+    for v, m, p in g.legs:
+        legs_at[v].append((m, p))
+    # the initial colors: static, isomorphism-invariant data
+    base = list(zip(g.genera, g.kappa, map(tuple, legs_at), _end_counts(g)))
+    autos = ()
+    if len(set(base)) == V:
+        if base == sorted(base):
+            key = (tuple(zip(g.genera, g.kappa)),
+                   tuple([(m, v, p) for v, m, p in g.legs]), g.edges)
+            return "".join(_COMPACT(key, 0)).encode("ascii"), g, ()
+        best_key = _encode_under(g, sorted(range(V), key=base.__getitem__))
+    else:
+        best_key = None
+        for order in _candidate_orders(g, base):
+            key = _encode_under(g, order)
+            if key == best_key:
+                tied.append(order)
+            elif best_key is None or key < best_key:
+                best_key, best, tied = key, order, []
+        if tied:
+            pos = {old: new for new, old in enumerate(best)}
+            autos = tuple(tuple([pos[v] for v in order]) for order in tied)
     verts, legs, edges = best_key
     genera, kappa = zip(*verts)
     canon = DecoratedGraph._of(genera, tuple([(v, m, p) for m, v, p in legs]), edges, kappa)
-    autos = ()
-    if tied:
-        pos = {old: new for new, old in enumerate(best)}
-        autos = tuple(tuple([pos[v] for v in order]) for order in tied)
     return "".join(_COMPACT(best_key, 0)).encode("ascii"), canon, autos
 
 
@@ -400,11 +420,7 @@ def _moved_half_edges(graph: DecoratedGraph, v: int, last_stays: bool = False):
 def _deficits(shape: DecoratedGraph) -> list[int]:
     """Per vertex, the markings it needs to be stable: ``max(0, 3 - 2h - d)``
     for genus h and d edge ends."""
-    degree = [0] * len(shape.genera)
-    for v1, _, v2, _ in shape.edges:
-        degree[v1] += 1
-        degree[v2] += 1
-    return [max(0, 3 - 2 * h - d) for h, d in zip(shape.genera, degree)]
+    return [max(0, 3 - 2 * h - d) for h, d in zip(shape.genera, _end_counts(shape))]
 
 
 def _shape_degenerations(shape: DecoratedGraph, n: int):

@@ -68,7 +68,11 @@ def _output_signature(genus: int, markings):
 
 
 def _with_new_legs(legs, i_leg, j_leg):
-    """``legs`` plus the new legs i and j, in marking order."""
+    """``legs`` plus the new legs i and j, in marking order: appended when
+    i's label exceeds the last leg's marking and j's exceeds i's, as the
+    labels of ``_output_signature`` do, and sorted in with any other labels."""
+    if (legs[-1][1] if legs else 0) < i_leg[1] < j_leg[1]:
+        return legs + (i_leg, j_leg)
     return tuple(sorted(legs + (i_leg, j_leg), key=_BY_MARKING))
 
 
@@ -104,7 +108,6 @@ def _split_candidates(graph: DecoratedGraph, labels):
     genera, kappa = graph.genera, graph.kappa
     new_v = len(genera)   # index of the second part
     for v, h in enumerate(genera):
-        moves = list(_moved_half_edges(graph, v))
         # the kappa factors go to either part as if they were half-edges too,
         # in the higher bits of the move's mask
         kappas = []
@@ -113,12 +116,13 @@ def _split_candidates(graph: DecoratedGraph, labels):
             for bit, k in enumerate(kappa[v]):
                 split[mask >> bit & 1].append(k)
             kappas.append(kappa[:v] + (tuple(split[0]),) + kappa[v + 1:] + (tuple(split[1]),))
+        # each part also carries one new leg, i or j
         i_leg, j_leg = (v, i_lab, 0), (new_v, j_lab, 0)
+        moves = [(stay, moved, _with_new_legs(legs, i_leg, j_leg), edges)
+                 for stay, moved, legs, edges in _moved_half_edges(graph, v)]
         for g1 in range(h + 1):
             parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
-            # each part also carries one new leg, i or j
-            stable = [(_with_new_legs(legs, i_leg, j_leg), edges)
-                      for stay, moved, legs, edges in moves
+            stable = [(legs, edges) for stay, moved, legs, edges in moves
                       if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
             for split_kappa in kappas:
                 for legs, edges in stable:

@@ -26,6 +26,7 @@ row cancels to zero: each adds up counts of index subsets (> 0), times kappa_0
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -143,12 +144,15 @@ class InteriorClass(_LinearCombination):
     def mul_psi(self, marking: int) -> "InteriorClass":
         if not 1 <= marking <= self.n:
             raise SignatureError(f"marking {marking} is not in 1..{self.n}")
-        # distinct monomials stay distinct, so nothing merges
+        # distinct monomials stay distinct, so nothing merges; the pair of
+        # marking, if any, is where (marking,) sorts into the psi pairs
         terms = {}
         for mono, num in self._terms.items():
-            psi = mono.psi_dict()
-            psi[marking] = psi.get(marking, 0) + 1
-            terms[InteriorMonomial._of(mono.kappa, tuple(sorted(psi.items())))] = num
+            psi = mono.psi
+            at = bisect_left(psi, (marking,))
+            e = psi[at][1] if at < len(psi) and psi[at][0] == marking else 0
+            psi = psi[:at] + ((marking, e + 1),) + psi[at + (e > 0):]
+            terms[InteriorMonomial._of(mono.kappa, psi)] = num
         return InteriorClass._of(self.g, self.n, terms, self._den)
 
     def __repr__(self):

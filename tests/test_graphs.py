@@ -27,7 +27,7 @@ from stratacalc import (
     monomial_class,
     single_vertex,
 )
-from stratacalc import graphs, verifier
+from stratacalc import graphs, invariance, verifier
 from stratacalc.cli import main
 
 from oracles import (
@@ -297,6 +297,30 @@ def test_canonical_search_matches_reference_on_random_graphs():
         features["non-discrete refinement"] += sum(1 for _ in candidate_orders_reference(g)) > 1
         features["ties"] += len(graphs._canonical_search.__wrapped__(g)[2]) > 0
     assert min(features.values()) >= 30, features
+
+
+#: Generator templates ``(kappa, psi)`` of the benchmark's operator linearity
+#: items, on markings 1..n.
+_LINEARITY = {
+    (6, 7): (((1,), {}), ((), {1: 1}), ((), {2: 1})),
+    (9, 3): (((3,), {}), ((1, 1, 1), {}), ((1,), {1: 2}), ((2,), {2: 1}),
+             ((), {1: 1, 2: 1, 3: 1}), ((), {1: 3}), ((1,), {1: 1, 2: 1})),
+}
+
+
+def test_canonical_search_matches_reference_on_operator_candidates():
+    """Every operator candidate of the benchmark's linearity generators, and
+    its copy with the vertices in reverse order: searches of a discrete
+    initial coloring whose order is the identity and whose order is not."""
+    orders = Counter()
+    for (g, n), monos in _LINEARITY.items():
+        for kappa, psi in monos:
+            ((_, graph, _),) = monomial_class(g, n, kappa, psi).items()
+            for cand, _ in invariance._candidates(graph, (n + 1, n + 2)):
+                for h in (cand, relabeled(cand, range(cand.n_vertices)[::-1])):
+                    _assert_search_matches_reference(h)
+                    orders["identity" if graphs._canonical_search(h)[1] == h else "swapped"] += 1
+    assert min(orders.values()) >= 1000, orders
 
 
 def test_canonical_form_is_compact_json_of_the_least_key():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -298,6 +299,25 @@ def test_tabulated_rows_match_reference(g, n, k):
         assert lifted == pullback_lift_reference(y, p)
         raised = lifted.mul_psi(p)
         assert forget_pushforward(raised, p) == forget_pushforward_reference(raised, p)
+
+
+@pytest.mark.parametrize("g,n,k", [(30, 6, 6), (24, 8, 5)])
+def test_mul_psi_matches_public_monomials(g, n, k):
+    """``mul_psi`` raises one exponent inside the sorted psi pairs: on the
+    benchmark's push/pull lifts, at every marking, it gives the monomials the
+    public constructor builds, at markings with psi and without, the top
+    marking included."""
+    y = _per_kappa_sample(random.Random(f"mul_psi/{g}/{n}/{k}"), g, n, k)
+    cases = Counter()
+    for p in range(1, n + 2):
+        lifted = pullback_lift(y, p)
+        for q in range(1, n + 2):
+            raised = lifted.mul_psi(q)
+            assert raised == InteriorClass(g, n + 1, [(_times_psi(m, q), c)
+                                                      for m, c in lifted.items()])
+            _assert_normal(raised)
+            cases.update((q in m.psi_dict(), q == n + 1) for m in lifted._terms)
+    assert len(cases) == 4, cases
 
 
 @pytest.mark.parametrize("first,second", [((3, 2), (5, 2)), ((5, 2), (3, 2))])
