@@ -31,9 +31,11 @@ the search takes one pass, sorting the vertices by them and relabelling the
 graph once unless that order is the identity.  They are discrete for all
 4,625 searches of the operator-algebra benchmark, 398 of verify-ladder's 413
 and 2,835 of enumerate-ladder's 3,002 (one process per item, seed 1); the
-rest try 30 and 288 orderings.  A search therefore costs its fixed
-per-graph work, which is what the code here keeps small, and not its
-branching.
+rest try 30 and 288 orderings.  When the (genus, kappa) pairs alone strictly
+increase, the input is its own representative before any color is built:
+for 4,369, 272 and 1,344 of those searches, of the 4,497, 292 and 2,181
+that return their input.  A search therefore costs its fixed per-graph
+work, which is what the code here keeps small, and not its branching.
 """
 
 from __future__ import annotations
@@ -317,8 +319,14 @@ def _canonical_search(g: DecoratedGraph):
     colors, so these are all of them; most graphs have none.  When the
     initial colors are discrete, the one order sorts them and nothing ties;
     if that order is the identity, the input is its own representative and
-    the key is read off its fields.  The search checks nothing (see
-    ``canonicalize``), and runs on unstable shapes too."""
+    the key is read off its fields.  When the (genus, kappa) pairs of the
+    vertices strictly increase, as for one vertex, that is known before any
+    color is built.  The search checks nothing (see ``canonicalize``), and
+    runs on unstable shapes too."""
+    verts = tuple(zip(g.genera, g.kappa))
+    if all(map(tuple.__lt__, verts, verts[1:])):
+        key = (verts, tuple([(m, v, p) for v, m, p in g.legs]), g.edges)
+        return "".join(_COMPACT(key, 0)).encode("ascii"), g, ()
     V = len(g.genera)
     legs_at = [[] for _ in range(V)]       # in marking order, as the legs are
     for v, m, p in g.legs:
@@ -328,8 +336,7 @@ def _canonical_search(g: DecoratedGraph):
     autos = ()
     if len(set(base)) == V:
         if base == sorted(base):
-            key = (tuple(zip(g.genera, g.kappa)),
-                   tuple([(m, v, p) for v, m, p in g.legs]), g.edges)
+            key = (verts, tuple([(m, v, p) for v, m, p in g.legs]), g.edges)
             return "".join(_COMPACT(key, 0)).encode("ascii"), g, ()
         best_key = _encode_under(g, sorted(range(V), key=base.__getitem__))
     else:

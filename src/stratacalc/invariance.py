@@ -35,11 +35,14 @@ genus minus one, its markings plus i and j, and at most one more component
 (the signature rule), so a genus-0 input yields no candidate at all, and
 checking a connected input checks every candidate; cut and reduce keep every
 vertex stable, and a split whose part would be unstable is skipped before
-its graph is built.  Every image is built by the one merge,
-``classes._merged``, over the denominator 2 for one graph and ``2 * den`` for
-a class over ``den``; isomorphic candidates go to the canonical-form search
-unchecked.  The new labels are the two integers following the largest input
-marking, so a class on markings 1..n acquires legs n+1 (= i) and n+2 (= j).
+its graph is built.  A one-vertex input's split candidate has the part
+whose (genus, kappa) sorts first as vertex 0 (leg i's part on a tie), so when
+the two differ the canonical search returns it as it is.  Every image is
+built by the one merge, ``classes._merged``, over the denominator 2 for one
+graph and ``2 * den`` for a class over ``den``; isomorphic candidates go to
+the canonical-form search unchecked.  The new labels are the two integers
+following the largest input marking, so a class on markings 1..n acquires
+legs n+1 (= i) and n+2 (= j).
 
 Everything is pure and deterministic: the result is independent of the
 evaluation order because terms merge by canonical form.
@@ -116,17 +119,25 @@ def _split_candidates(graph: DecoratedGraph, labels):
             for bit, k in enumerate(kappa[v]):
                 split[mask >> bit & 1].append(k)
             kappas.append(kappa[:v] + (tuple(split[0]),) + kappa[v + 1:] + (tuple(split[1]),))
-        # each part also carries one new leg, i or j
-        i_leg, j_leg = (v, i_lab, 0), (new_v, j_lab, 0)
-        moves = [(stay, moved, _with_new_legs(legs, i_leg, j_leg), edges)
-                 for stay, moved, legs, edges in _moved_half_edges(graph, v)]
+        # each part also carries one new leg, i or j; for a one-vertex input,
+        # the mirror of mask m (mask full ^ m, leg i on vertex 1 and leg j on
+        # vertex 0) puts the part whose (genus, kappa) sorts first at vertex 0
+        moves = list(_moved_half_edges(graph, v))
+        sides = [[(_with_new_legs(legs, (v, i_lab, 0), (new_v, j_lab, 0)), edges)
+                  for _, _, legs, edges in moves]]
+        if new_v == 1:
+            sides.append([(_with_new_legs(legs, (1, i_lab, 0), (0, j_lab, 0)), edges)
+                          for _, _, legs, edges in reversed(moves)])
         for g1 in range(h + 1):
             parts = genera[:v] + (g1,) + genera[v + 1:] + (h - g1,)
-            stable = [(legs, edges) for stay, moved, legs, edges in moves
-                      if 2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0]
+            stable = [2 * g1 - 1 + stay > 0 and 2 * (h - g1) - 1 + moved > 0
+                      for stay, moved, _, _ in moves]
+            kept = [[c for c, keep in zip(side, stable) if keep] for side in sides]
             for split_kappa in kappas:
-                for legs, edges in stable:
-                    yield DecoratedGraph._of(parts, legs, edges, split_kappa), -1
+                mirror = new_v == 1 and (g1, split_kappa[0]) > (h - g1, split_kappa[1])
+                step = -1 if mirror else 1
+                for legs, edges in kept[mirror]:
+                    yield DecoratedGraph._of(parts[::step], legs, edges, split_kappa[::step]), -1
 
 
 def _target_key(graph: DecoratedGraph, labels):
@@ -200,7 +211,7 @@ def reduce_genus(graph) -> TautClass:
 
 
 def split_vertices(graph) -> TautClass:
-    """Split each vertex into an ordered pair of vertices, leg i on the first.
+    """Split each vertex into an ordered pair of parts, leg i on the first.
 
     All ordered genus splits (g1, g2) are enumerated, every leg and edge end
     of the split vertex goes independently to either part, and the kappa

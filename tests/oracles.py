@@ -556,6 +556,10 @@ def split_candidates_reference(graph: DecoratedGraph, labels):
                                       tuple(tuple(t) for t in legs),
                                       tuple(tuple(t) for t in edges),
                                       kappa)
+                # a one-vertex input's candidate comes with the part whose
+                # (genus, kappa) sorts first as vertex 0
+                if graph.n_vertices == 1 and (g1, tuple(keep)) > (h - g1, tuple(move)):
+                    cand = relabeled(cand, (1, 0))
                 if not cand.validate():
                     yield cand, Fraction(-1, 2)
 

@@ -234,10 +234,14 @@ def test_canonical_agrees_with_bruteforce_oracle():
 def _assert_search_matches_reference(g, stable=True):
     """The search agrees with the reference, and each automorphism it returns
     maps the representative onto itself: distinct non-identity permutations,
-    one per further tied order of the reference, so all of the group."""
+    one per further tied order of the reference, so all of the group.  A graph
+    whose (genus, kappa) pairs strictly increase is its own representative."""
     form, canon, autos = graphs._canonical_search.__wrapped__(g)
     ref_form, ref_canon, ref_ties = canonical_search_reference(g, stable)
     assert form == ref_form
+    pairs = list(zip(g.genera, g.kappa))
+    if pairs == sorted(set(pairs)):
+        assert canon is g and autos == ()
     assert (canon.genera, canon.legs, canon.edges, canon.kappa) == (
         ref_canon.genera, ref_canon.legs, ref_canon.edges, ref_canon.kappa)
     assert 1 + len(autos) == ref_ties
@@ -297,6 +301,14 @@ def test_canonical_search_matches_reference_on_random_graphs():
         features["non-discrete refinement"] += sum(1 for _ in candidate_orders_reference(g)) > 1
         features["ties"] += len(graphs._canonical_search.__wrapped__(g)[2]) > 0
     assert min(features.values()) >= 30, features
+    # two vertices with equal (genus, kappa), apart or joined, whose legs sort
+    # in reverse: the search swaps them and does not return its input
+    for h, kappa, edges in itertools.product((0, 1, 3), ((), (1,), (1, 2)),
+                                             ((), ((0, 0, 1, 0),), ((0, 1, 1, 0),))):
+        g = DecoratedGraph((h, h), ((0, 2, 0), (0, 3, 0), (1, 1, 0), (1, 4, 1)), edges,
+                           (kappa, kappa))
+        _assert_search_matches_reference(g, stable=False)
+        assert graphs._canonical_search.__wrapped__(g)[1] != g
 
 
 #: Generator templates ``(kappa, psi)`` of the benchmark's operator linearity
@@ -311,7 +323,9 @@ _LINEARITY = {
 def test_canonical_search_matches_reference_on_operator_candidates():
     """Every operator candidate of the benchmark's linearity generators, and
     its copy with the vertices in reverse order: searches of a discrete
-    initial coloring whose order is the identity and whose order is not."""
+    initial coloring whose order is the identity and whose order is not.
+    The generators have one vertex, so a split candidate whose two (genus,
+    kappa) pairs differ is built in search order: its own representative."""
     orders = Counter()
     for (g, n), monos in _LINEARITY.items():
         for kappa, psi in monos:
@@ -320,6 +334,10 @@ def test_canonical_search_matches_reference_on_operator_candidates():
                 for h in (cand, relabeled(cand, range(cand.n_vertices)[::-1])):
                     _assert_search_matches_reference(h)
                     orders["identity" if graphs._canonical_search(h)[1] == h else "swapped"] += 1
+                pairs = set(zip(cand.genera, cand.kappa))
+                if len(pairs) == 2:
+                    assert graphs._canonical_search.__wrapped__(cand)[1] is cand
+                    orders["split, pairs differ"] += 1
     assert min(orders.values()) >= 1000, orders
 
 
